@@ -40,7 +40,7 @@ int main() {
     bool simd;
   };
   // fused_scalar isolates the SIMD win from the SoA-staging win: it runs the
-  // same fused sweep with the AVX2 kernels disabled (md.simd=off path).
+  // same fused sweep with the AVX2 kernels disabled (set_simd(false)).
   constexpr std::array<Mode, 3> kModes = {{{"fused", true, true},
                                            {"fused_scalar", true, false},
                                            {"two_pass", false, true}}};

@@ -86,7 +86,9 @@ int main() {
 
       // --- checkpoint the KMC state (restartable campaigns) ---
       std::ostringstream ckpt;
-      io::Checkpoint::save_kmc(ckpt, kmc_engine.model(), kmc_engine.mc_time());
+      io::Checkpoint::write_file_header(ckpt);
+      io::Checkpoint::write_kmc_section(ckpt, kmc_engine.model(),
+                                        kmc_engine.mc_time());
 
       if (comm.rank() == 0) {
         surviving = after;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "io/checkpoint.h"
 #include "io/checkpoint_store.h"
@@ -18,54 +20,64 @@ namespace mmd::core {
 
 namespace {
 
-/// Collective: write one checkpoint epoch (per-rank file, then a manifest
-/// commit on rank 0 once every rank's write landed). A failed write on any
-/// rank abandons the epoch — the run degrades to the previous good one
-/// instead of aborting. The META section carries the stage tag and the
-/// sampled-schedule position so a sampled run resumes mid-window.
-void save_checkpoint_epoch(comm::Comm& comm, io::CheckpointStore& store,
-                           const SimulationConfig& cfg, std::uint64_t epoch,
-                           md::MdEngine& md_engine, kmc::KmcEngine& kmc_engine,
-                           const StageState& state, const StageClock& clock) {
+/// The stage tag an epoch carries: the name of the KMC-side propagator the
+/// pipeline runs. The cycle counter means different things under the two
+/// schedules, so resume refuses an epoch written under the other one.
+const char* stage_tag(const SimulationConfig& cfg) {
+  return cfg.sampling.enabled() ? "sampling" : "kmc";
+}
+
+}  // namespace
+
+// --- EpochCheckpointer ---
+
+EpochCheckpointer::EpochCheckpointer(const SimulationConfig& cfg,
+                                     io::CheckpointStore& store,
+                                     md::MdEngine& md, kmc::KmcEngine& kmc)
+    : cfg_(cfg), store_(store), md_(md), kmc_(kmc) {}
+
+void EpochCheckpointer::save(comm::Comm& comm, std::uint64_t epoch,
+                             const StageState& state, const StageClock& clock) {
   MMD_TRACE_SCOPE("sim.checkpoint");
   util::Timer t;
-  std::ostringstream os;
-  io::Checkpoint::write_file_header(os);
+  // Pipeline state -> META: everything beyond the raw lattice and site
+  // arrays that a bit-identical resume needs (adopted in restore()).
+  const kmc::KmcEngineState st = kmc_.engine_state();
   io::Checkpoint::MetaState meta;
   meta.rank = comm.rank();
   meta.nranks = comm.size();
-  meta.seed = cfg.md.seed;
-  meta.md_time_ps = md_engine.simulated_time();
-  const kmc::KmcEngineState st = kmc_engine.engine_state();
+  meta.seed = cfg_.md.seed;
+  meta.md_time_ps = md_.simulated_time();
   meta.kmc_cycles = st.cycles;
   meta.kmc_events = st.events;
   meta.kmc_mc_time = st.mc_time;
   meta.kmc_last_max_rate = st.last_max_rate;
   meta.kmc_rng_state = st.rng_state;
-  meta.stage_tag = cfg.sampling.enabled() ? "sampling" : "kmc";
+  meta.stage_tag = stage_tag(cfg_);
   meta.sample_windows = state.sampled.windows;
   meta.scd_time_s = clock.scd_time_s;
   meta.sample_est_clusters = state.sampled.est_clusters;
   meta.sample_ci_halfwidth = state.sampled.ci_halfwidth;
+  std::ostringstream os;
+  io::Checkpoint::write_file_header(os);
   io::Checkpoint::write_meta_section(os, meta);
-  io::Checkpoint::write_md_section(os, md_engine.lattice(),
-                                   md_engine.simulated_time());
-  io::Checkpoint::write_kmc_section(os, kmc_engine.model(), st.mc_time);
+  io::Checkpoint::write_md_section(os, md_.lattice(), md_.simulated_time());
+  io::Checkpoint::write_kmc_section(os, kmc_.model(), st.mc_time);
   const std::string blob = os.str();
-  const bool ok = store.write_rank_blob(epoch, comm.rank(), blob);
+  const bool ok = store_.write_rank_blob(epoch, comm.rank(), blob);
   telemetry::count("ckpt.bytes", blob.size());
   telemetry::observe("ckpt.write_seconds", t.elapsed());
   const std::uint64_t failures = comm.allreduce_sum_u64(ok ? 0u : 1u);
   if (failures == 0) {
     if (comm.rank() == 0) {
-      if (store.commit_epoch(epoch)) {
+      if (store_.commit_epoch(epoch)) {
         telemetry::count("ckpt.epochs");
       } else {
         telemetry::count("ckpt.failed_epochs");
       }
     }
   } else {
-    store.discard_rank_blob(epoch, comm.rank());
+    store_.discard_rank_blob(epoch, comm.rank());
     if (comm.rank() == 0) {
       telemetry::count("ckpt.failed_epochs");
       std::fprintf(stderr,
@@ -78,7 +90,84 @@ void save_checkpoint_epoch(comm::Comm& comm, io::CheckpointStore& store,
   comm.barrier();
 }
 
-}  // namespace
+void EpochCheckpointer::restore(comm::Comm& comm, StageState& state,
+                                StageClock& clock) {
+  // Committed epochs, tried newest first; every rank walks the same list in
+  // lock step (nothing commits before every rank has passed this point).
+  const std::vector<std::uint64_t> epochs = store_.committed_epochs();
+  for (auto it = epochs.rbegin(); it != epochs.rend(); ++it) {
+    const std::uint64_t epoch = *it;
+    io::Checkpoint::MetaState meta;
+    bool ok = true;
+    std::string error;
+    try {
+      const auto blob = store_.read_rank_blob(epoch, comm.rank());
+      if (!blob) throw std::runtime_error("missing rank file");
+      std::istringstream is(*blob);
+      io::Checkpoint::read_file_header(is);
+      meta = io::Checkpoint::read_meta_section(is);
+      if (meta.rank != comm.rank() || meta.nranks != comm.size() ||
+          meta.seed != cfg_.md.seed || meta.stage_tag != stage_tag(cfg_)) {
+        throw std::runtime_error(
+            "checkpoint was written by a different run configuration");
+      }
+      md_.set_simulated_time(io::Checkpoint::read_md_section(is, md_.lattice()));
+      io::Checkpoint::read_kmc_section(is, kmc_.model());
+    } catch (const std::exception& e) {
+      ok = false;
+      error = e.what();
+    }
+    if (comm.allreduce_sum_u64(ok ? 0u : 1u) == 0) {
+      // META -> pipeline state: the inverse of save().
+      kmc::KmcEngineState st;
+      st.events = meta.kmc_events;
+      st.cycles = meta.kmc_cycles;
+      st.mc_time = meta.kmc_mc_time;
+      st.last_max_rate = meta.kmc_last_max_rate;
+      st.rng_state = meta.kmc_rng_state;
+      kmc_.restore_state(comm, st);
+      // Events executed before the checkpoint re-enter the registry so a
+      // resumed run reports the same totals as an uninterrupted one.
+      if (meta.kmc_events > 0) telemetry::count("kmc.events", meta.kmc_events);
+      telemetry::count("ckpt.resumed_ranks");
+      state.restored = true;
+      state.restored_cycles = meta.kmc_cycles;
+      // Sampled-schedule position: the scheduler re-enters the window/
+      // stride loop exactly where the interrupted run left off.
+      state.sampled.windows = meta.sample_windows;
+      state.sampled.est_clusters = meta.sample_est_clusters;
+      state.sampled.ci_halfwidth = meta.sample_ci_halfwidth;
+      clock.scd_time_s = meta.scd_time_s;
+      return;
+    }
+    telemetry::count("ckpt.load_fallbacks");
+    if (!ok) {
+      std::fprintf(stderr,
+                   "mmd: rank %d: checkpoint epoch %llu rejected (%s); "
+                   "falling back\n",
+                   comm.rank(), static_cast<unsigned long long>(epoch),
+                   error.c_str());
+    }
+  }
+  if (!epochs.empty()) {
+    // A partially-applied failed load must not leak into a fresh run.
+    for (std::size_t i = 0; i < kmc_.model().size(); ++i) {
+      kmc_.model().set_state(i, kmc::SiteState::Fe);
+    }
+  }
+}
+
+// --- ResumeStage ---
+
+StageReport ResumeStage::advance(comm::Comm& comm, StageState& state,
+                                 StageClock& clock) {
+  MMD_TRACE_SCOPE("sim.resume");
+  util::Timer wall;
+  checkpointer_.restore(comm, state, clock);
+  return {name(), wall.elapsed(), state.restored_cycles};
+}
+
+// --- Pipeline ---
 
 StagePropagator& Pipeline::add(std::unique_ptr<StagePropagator> stage) {
   stages_.push_back(std::move(stage));
@@ -131,8 +220,8 @@ StageReport MdCascadeStage::advance(comm::Comm& comm, StageState& state,
 // --- KmcStage ---
 
 KmcStage::KmcStage(const SimulationConfig& cfg, kmc::KmcEngine& kmc,
-                   md::MdEngine& md, io::CheckpointStore* store)
-    : cfg_(cfg), kmc_(kmc), md_(md), store_(store) {}
+                   EpochCheckpointer* checkpointer)
+    : cfg_(cfg), kmc_(kmc), checkpointer_(checkpointer) {}
 
 double KmcStage::mc_time() const { return kmc_.mc_time(); }
 
@@ -160,18 +249,17 @@ void KmcStage::run_detailed(comm::Comm& comm, StageState& state,
                             StageClock& clock, std::uint64_t target) {
   // Chunked run_cycles calls execute the identical cycle sequence, so
   // checkpointing does not perturb the physics.
+  const std::uint64_t every =
+      checkpointer_ != nullptr && cfg_.checkpoint_every > 0
+          ? static_cast<std::uint64_t>(cfg_.checkpoint_every)
+          : 0;
   while (done_ < target) {
     std::uint64_t chunk = target - done_;
-    if (store_ != nullptr && cfg_.checkpoint_every > 0) {
-      const auto every = static_cast<std::uint64_t>(cfg_.checkpoint_every);
-      chunk = std::min(chunk, every - done_ % every);
-    }
+    if (every > 0) chunk = std::min(chunk, every - done_ % every);
     kmc_.run_cycles(comm, static_cast<int>(chunk));
     done_ += chunk;
-    if (store_ != nullptr && cfg_.checkpoint_every > 0 &&
-        done_ % static_cast<std::uint64_t>(cfg_.checkpoint_every) == 0) {
-      save_checkpoint_epoch(comm, *store_, cfg_, done_, md_, kmc_, state,
-                            clock);
+    if (every > 0 && done_ % every == 0) {
+      checkpointer_->save(comm, done_, state, clock);
     }
   }
 }

@@ -20,9 +20,10 @@ namespace mmd::core {
 /// An ordered composition of stage propagators — the paper's fixed MD->KMC
 /// handoff generalized so new propagators (the SCD warming stage, future
 /// OKMC or rate-theory backends) plug in without touching the facade. One
-/// Pipeline instance is built per rank inside Simulation::run(); run()
-/// advances every stage in order and records per-stage reports plus
-/// `stage.<name>.seconds` gauges.
+/// Pipeline instance is built per rank inside Simulation::run() — [resume],
+/// MD cascade, then KMC or the sampled scheduler; run() advances every
+/// stage in order and records per-stage reports plus `stage.<name>.seconds`
+/// gauges.
 class Pipeline {
  public:
   StagePropagator& add(std::unique_ptr<StagePropagator> stage);
@@ -35,6 +36,51 @@ class Pipeline {
  private:
   std::vector<std::unique_ptr<StagePropagator>> stages_;
   std::vector<StageReport> reports_;
+};
+
+/// Checkpoint epochs of the coupled pipeline: the one place that maps the
+/// pipeline state (engines, StageState, StageClock) onto a v3 rank file
+/// (header | META | MD | KMC, docs/CHECKPOINTING.md) and back. KmcStage
+/// saves at epoch boundaries; ResumeStage restores before the MD cascade.
+/// One instance per rank, over the run's shared io::CheckpointStore.
+class EpochCheckpointer {
+ public:
+  EpochCheckpointer(const SimulationConfig& cfg, io::CheckpointStore& store,
+                    md::MdEngine& md, kmc::KmcEngine& kmc);
+
+  /// Collective: write this rank's file of `epoch`, then rank 0 commits the
+  /// epoch to the manifest once every rank's write landed. A failed write on
+  /// any rank abandons the epoch; the previous one stays the restart point.
+  void save(comm::Comm& comm, std::uint64_t epoch, const StageState& state,
+            const StageClock& clock);
+
+  /// Collective: adopt the newest committed epoch that EVERY rank validates
+  /// (an allreduce decides), falling back epoch by epoch together. When none
+  /// survives the run starts fresh, with any partially loaded KMC sites
+  /// reset. Sets state.restored on success.
+  void restore(comm::Comm& comm, StageState& state, StageClock& clock);
+
+ private:
+  const SimulationConfig& cfg_;
+  io::CheckpointStore& store_;
+  md::MdEngine& md_;
+  kmc::KmcEngine& kmc_;
+};
+
+/// Stage 0, present only when the run resumes: restores the newest usable
+/// checkpoint epoch (EpochCheckpointer::restore) inside a `sim.resume` span,
+/// so the stages after it continue where the interrupted run left off.
+class ResumeStage : public StagePropagator {
+ public:
+  explicit ResumeStage(EpochCheckpointer& checkpointer)
+      : checkpointer_(checkpointer) {}
+
+  const char* name() const override { return "resume"; }
+  StageReport advance(comm::Comm& comm, StageState& state,
+                      StageClock& clock) override;
+
+ private:
+  EpochCheckpointer& checkpointer_;
 };
 
 /// Stage 1 of the coupled pipeline: cascade-collision defect generation.
@@ -57,14 +103,16 @@ class MdCascadeStage : public StagePropagator {
 };
 
 /// Stage 2: vacancy clustering and evolution on the KMC engine. Owns the
-/// MD->KMC handoff application, the chunked cycle loop with checkpoint
-/// epochs, and the final vacancy census. The begin/run_detailed/finish
-/// pieces are public so SamplingScheduler can interleave detailed windows
-/// with SCD warming while executing the byte-identical cycle sequence.
+/// MD->KMC handoff application, the chunked cycle loop that saves a
+/// checkpoint epoch at every boundary, and the final vacancy census. The
+/// begin/run_detailed/finish pieces are public so SamplingScheduler can
+/// interleave detailed windows with SCD warming while executing the
+/// byte-identical cycle sequence.
 class KmcStage : public StagePropagator {
  public:
-  KmcStage(const SimulationConfig& cfg, kmc::KmcEngine& kmc, md::MdEngine& md,
-           io::CheckpointStore* store);
+  /// `checkpointer` may be null (no checkpoint directory configured).
+  KmcStage(const SimulationConfig& cfg, kmc::KmcEngine& kmc,
+           EpochCheckpointer* checkpointer);
 
   const char* name() const override { return "kmc"; }
   StageReport advance(comm::Comm& comm, StageState& state,
@@ -90,8 +138,7 @@ class KmcStage : public StagePropagator {
  private:
   const SimulationConfig& cfg_;
   kmc::KmcEngine& kmc_;
-  md::MdEngine& md_;
-  io::CheckpointStore* store_;
+  EpochCheckpointer* checkpointer_;
   std::uint64_t done_ = 0;
   util::Timer timer_;
 };

@@ -1,6 +1,11 @@
 #include "core/scenario.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
+
+#include "telemetry/comm_trace.h"
 
 namespace mmd::core {
 
@@ -44,13 +49,6 @@ SimulationConfig scenario_from_kv(const util::KeyValueConfig& kv) {
         "accel=slave is single-species (pure Fe); alloy runs (solute > 0) "
         "must use accel=reference");
   }
-  const std::string simd = kv.get_string("md.simd", "auto");
-  if (simd == "off") {
-    cfg.use_simd_force = false;
-  } else if (simd != "auto") {
-    throw std::invalid_argument("unknown md.simd '" + simd +
-                                "' (expected auto | off)");
-  }
   cfg.checkpoint_dir = kv.get_string("checkpoint.dir", "");
   cfg.checkpoint_every =
       static_cast<int>(kv.get_int("checkpoint.every", 0));
@@ -88,7 +86,6 @@ std::string scenario_defaults_text() {
       "kmc.debug_events = off  # per-event stderr logging\n"
       "solute        = 0.0      # Fe-Cu alloy: Cu fraction\n"
       "accel         = reference  # reference | slave (slave-core force kernel)\n"
-      "md.simd       = auto     # auto | off (AVX2 kernels in the slave force path)\n"
       "checkpoint.dir   =       # optional: directory for per-rank checkpoints\n"
       "checkpoint.every = 0     # KMC cycles between epochs (0 = off)\n"
       "comm.trace    =          # optional: comm flight-recorder trace file\n"
@@ -96,6 +93,29 @@ std::string scenario_defaults_text() {
       "sample.window = 5        # detailed KMC cycles per measured window\n"
       "sample.stride = 45       # coarse cycles covered by each SCD warming stride\n"
       "sample.replicates = 8    # RNG-paired SCD replicates (CI from their variance)\n";
+}
+
+bool write_comm_trace(const std::string& path, const SimulationConfig& cfg,
+                      const std::string& scenario,
+                      const telemetry::CommRecorder& recorder,
+                      const telemetry::MetricsRegistry::Aggregate& metrics,
+                      std::string* error) {
+  // Every rank walks the same MD + KMC loop, so the per-rank counts divide
+  // the aggregates by the rank count.
+  const auto nranks = static_cast<std::uint64_t>(std::max(1, cfg.nranks));
+  const std::uint64_t md_steps = metrics.counter("md.steps");
+  const std::uint64_t kmc_cycles = metrics.counter("kmc.cycles");
+  const std::uint64_t steps = (md_steps + kmc_cycles) / nranks;
+  std::map<std::string, std::string> meta;
+  meta["scenario"] = scenario;
+  meta["ranks"] = std::to_string(cfg.nranks);
+  meta["box"] = std::to_string(cfg.md.nx);
+  meta["atoms"] = std::to_string(2 * cfg.md.nx * cfg.md.ny * cfg.md.nz);
+  meta["steps"] = std::to_string(steps > 0 ? steps : 1);
+  meta["md_steps"] = std::to_string(md_steps / nranks);
+  meta["kmc_cycles"] = std::to_string(kmc_cycles / nranks);
+  return telemetry::write_comm_trace_file(
+      path, telemetry::trace_from_recorder(recorder, std::move(meta)), error);
 }
 
 }  // namespace mmd::core

@@ -3,7 +3,12 @@
 #include <string>
 
 #include "core/simulation.h"
+#include "telemetry/registry.h"
 #include "util/key_value.h"
+
+namespace mmd::telemetry {
+class CommRecorder;
+}
 
 namespace mmd::core {
 
@@ -19,7 +24,7 @@ kmc::GhostStrategy parse_ghost_strategy(const std::string& s);
 ///   pka.count, pka.energy_ev,
 ///   kmc.cycles, kmc.strategy, kmc.dt_scale, kmc.table_segments,
 ///   kmc.incremental, kmc.debug_events,
-///   solute, accel (reference | slave), md.simd (auto | off),
+///   solute, accel (reference | slave),
 ///   checkpoint.dir, checkpoint.every,
 ///   comm.trace (comm flight-recorder output file; campaigns write it
 ///   under the job's directory),
@@ -36,5 +41,16 @@ SimulationConfig scenario_from_kv(const util::KeyValueConfig& kv);
 /// The schema above as `--print-defaults` text (one source of truth for the
 /// mmd_run and mmd_campaign help output).
 std::string scenario_defaults_text();
+
+/// Write the `comm.trace` file of one finished run: the recorder's events
+/// plus the meta the replay normalizes by (scenario label, ranks, box,
+/// atoms, and the per-rank steps, md_steps and kmc_cycles counted in
+/// `metrics`). The one trace writer of mmd_run and campaign jobs. Returns
+/// false with the reason in *error.
+bool write_comm_trace(const std::string& path, const SimulationConfig& cfg,
+                      const std::string& scenario,
+                      const telemetry::CommRecorder& recorder,
+                      const telemetry::MetricsRegistry::Aggregate& metrics,
+                      std::string* error);
 
 }  // namespace mmd::core

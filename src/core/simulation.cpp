@@ -1,14 +1,12 @@
 #include "core/simulation.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/pipeline.h"
-#include "io/checkpoint.h"
 #include "io/checkpoint_store.h"
 #include "kmc/clusters.h"
 #include "kmc/engine.h"
@@ -130,14 +128,7 @@ SimulationReport Simulation::run() {
   if (!cfg_.checkpoint_dir.empty()) {
     store = std::make_unique<io::CheckpointStore>(cfg_.checkpoint_dir,
                                                   cfg_.nranks);
-    store->set_keep_epochs(cfg_.checkpoint_keep);
     store->set_fault_injector(cfg_.fault_injector);
-  }
-  // Resume candidates, newest first; every rank tries them in lock step.
-  std::vector<std::uint64_t> resume_epochs;
-  if (store != nullptr && cfg_.resume) {
-    resume_epochs = store->committed_epochs();
-    std::reverse(resume_epochs.begin(), resume_epochs.end());
   }
 
   // Slave force path: all ranks share ONE pool (its run() serializes
@@ -160,86 +151,24 @@ SimulationReport Simulation::run() {
     if (cfg_.use_slave_force) {
       slave_force = std::make_unique<md::SlaveForceCompute>(
           *md_tables_, *pool, md::AccelStrategy::CompactedReuse);
-      slave_force->set_simd(cfg_.use_simd_force);
       md_engine.use_slave_kernel(slave_force.get());
     }
 
-    // --- resume: an epoch is adopted only when EVERY rank validates its
-    // file; otherwise all ranks fall back to the next older epoch together.
-    StageState state;
-    StageClock clock;
-    const char* expected_tag = cfg_.sampling.enabled() ? "sampling" : "kmc";
-    for (const std::uint64_t epoch : resume_epochs) {
-      io::Checkpoint::MetaState meta;
-      bool ok = true;
-      std::string error;
-      try {
-        const auto blob = store->read_rank_blob(epoch, comm.rank());
-        if (!blob) throw std::runtime_error("missing rank file");
-        std::istringstream is(*blob);
-        io::Checkpoint::read_file_header(is);
-        meta = io::Checkpoint::read_meta_section(is);
-        if (meta.rank != comm.rank() || meta.nranks != comm.size() ||
-            meta.seed != cfg_.md.seed || meta.stage_tag != expected_tag) {
-          throw std::runtime_error(
-              "checkpoint was written by a different run configuration");
-        }
-        md_engine.set_simulated_time(
-            io::Checkpoint::read_md_section(is, md_engine.lattice()));
-        io::Checkpoint::read_kmc_section(is, kmc_engine.model());
-      } catch (const std::exception& e) {
-        ok = false;
-        error = e.what();
-      }
-      const std::uint64_t bad = comm.allreduce_sum_u64(ok ? 0u : 1u);
-      if (bad == 0) {
-        kmc::KmcEngineState st;
-        st.events = meta.kmc_events;
-        st.cycles = meta.kmc_cycles;
-        st.mc_time = meta.kmc_mc_time;
-        st.last_max_rate = meta.kmc_last_max_rate;
-        st.rng_state = meta.kmc_rng_state;
-        kmc_engine.restore_state(comm, st);
-        // Events executed before the checkpoint re-enter the registry so a
-        // resumed run reports the same totals as an uninterrupted one.
-        if (meta.kmc_events > 0) telemetry::count("kmc.events", meta.kmc_events);
-        telemetry::count("ckpt.resumed_ranks");
-        state.restored = true;
-        state.restored_cycles = meta.kmc_cycles;
-        // Sampled-schedule position: the scheduler re-enters the window/
-        // stride loop exactly where the interrupted run left off.
-        state.sampled.windows = meta.sample_windows;
-        state.sampled.est_clusters = meta.sample_est_clusters;
-        state.sampled.ci_halfwidth = meta.sample_ci_halfwidth;
-        clock.scd_time_s = meta.scd_time_s;
-        break;
-      }
-      telemetry::count("ckpt.load_fallbacks");
-      if (!ok) {
-        std::fprintf(stderr,
-                     "mmd: rank %d: checkpoint epoch %llu rejected (%s); "
-                     "falling back\n",
-                     comm.rank(), static_cast<unsigned long long>(epoch),
-                     error.c_str());
-      }
-    }
-    if (!state.restored && !resume_epochs.empty()) {
-      // A partially-applied failed load must not leak into a fresh run.
-      for (std::size_t i = 0; i < kmc_engine.model().size(); ++i) {
-        kmc_engine.model().set_state(i, kmc::SiteState::Fe);
-      }
-    }
-    if (state.restored && cfg_.sampling.enabled()) {
-      state.sampled.replicates = cfg_.sampling.replicates;
+    std::optional<EpochCheckpointer> checkpointer;
+    if (store != nullptr) {
+      checkpointer.emplace(cfg_, *store, md_engine, kmc_engine);
     }
 
-    // --- the stage pipeline: MD cascade, then either the all-detailed KMC
-    // stage or the sampled window/stride scheduler ---
+    // --- the stage pipeline: [resume], MD cascade, then either the
+    // all-detailed KMC stage or the sampled window/stride scheduler ---
     Pipeline pipeline;
+    if (checkpointer && cfg_.resume) {
+      pipeline.add(std::make_unique<ResumeStage>(*checkpointer));
+    }
     pipeline.add(std::make_unique<MdCascadeStage>(
         cfg_, static_cast<std::uint64_t>(md_setup.geo.num_sites()), md_engine));
-    auto kmc_stage = std::make_unique<KmcStage>(cfg_, kmc_engine, md_engine,
-                                                store.get());
+    auto kmc_stage = std::make_unique<KmcStage>(
+        cfg_, kmc_engine, checkpointer ? &*checkpointer : nullptr);
     if (cfg_.sampling.enabled()) {
       auto scd = std::make_unique<kmc::ScdStage>(
           kmc_setup.geo,
@@ -251,6 +180,8 @@ SimulationReport Simulation::run() {
     } else {
       pipeline.add(std::move(kmc_stage));
     }
+    StageState state;
+    StageClock clock;
     pipeline.run(comm, state, clock);
 
     if (comm.rank() == 0) {

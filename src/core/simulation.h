@@ -65,10 +65,9 @@ struct SimulationConfig {
   std::string checkpoint_dir;
   /// Resume from the newest committed epoch in checkpoint_dir that every
   /// rank can validate, falling back epoch by epoch on corruption; a fresh
-  /// run starts when none is usable.
+  /// run starts when none is usable (core::ResumeStage). The store keeps
+  /// the last io::CheckpointStore::kKeepEpochs committed epochs.
   bool resume = false;
-  /// Committed epochs retained on disk (older ones are pruned at commit).
-  int checkpoint_keep = 2;
   /// Test hook: injects write faults into the checkpoint store (not owned).
   io::FaultInjector* fault_injector = nullptr;
 
@@ -84,11 +83,6 @@ struct SimulationConfig {
   /// reference master-core path (identical physics; see md::SlaveForceCompute).
   /// Single-species only: rejected when solute_fraction > 0.
   bool use_slave_force = false;
-  /// Allow the AVX2 block kernels in the slave force path (scenario key
-  /// `md.simd = auto|off`). True means auto: vectorize when the build and
-  /// CPU support it and the sweep's tables are store-resident; false pins
-  /// the scalar loops (for A/B runs and debugging).
-  bool use_simd_force = true;
   /// Executor for the slave force path. In campaign service mode many
   /// concurrent jobs point at ONE pool and interleave epochs on it; nullptr
   /// makes the simulation own a private pool. Not owned; must outlive run().

@@ -90,12 +90,12 @@ struct StageClock {
 /// Per-rank state handed from stage to stage.
 struct StageState {
   HandoffState handoff;
-  /// Whether this run restored from a checkpoint, and from which KMC cycle;
-  /// a restored run skips the MD cascade (the lattice was loaded).
+  /// Whether ResumeStage restored a checkpoint epoch, and from which KMC
+  /// cycle; a restored run skips the MD cascade (the lattice was loaded).
   bool restored = false;
   std::uint64_t restored_cycles = 0;
-  /// Sampled-mode schedule position restored from a checkpoint (windows
-  /// completed and SCD time accumulated before the crash).
+  /// Sampled-mode estimate and schedule position; a restored run starts from
+  /// the epoch's windows and estimate (the SCD time lives in StageClock).
   SampledStats sampled;
   md::DefectSummary md_defects;
   /// Rank-0 gathers of the global vacancy census before and after KMC.

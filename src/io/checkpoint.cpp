@@ -350,26 +350,4 @@ Checkpoint::MetaState Checkpoint::read_meta_section(std::istream& is) {
   return meta;
 }
 
-void Checkpoint::save_md(std::ostream& os, const lat::LatticeNeighborList& lnl,
-                         double time_ps) {
-  write_file_header(os);
-  write_md_section(os, lnl, time_ps);
-}
-
-double Checkpoint::load_md(std::istream& is, lat::LatticeNeighborList& lnl) {
-  read_file_header(is);
-  return read_md_section(is, lnl);
-}
-
-void Checkpoint::save_kmc(std::ostream& os, const kmc::KmcModel& model,
-                          double mc_time_s) {
-  write_file_header(os);
-  write_kmc_section(os, model, mc_time_s);
-}
-
-double Checkpoint::load_kmc(std::istream& is, kmc::KmcModel& model) {
-  read_file_header(is);
-  return read_kmc_section(is, model);
-}
-
 }  // namespace mmd::io

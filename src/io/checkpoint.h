@@ -25,9 +25,10 @@ namespace mmd::io {
 /// against the bytes actually present, and verifies geometry/decomposition
 /// before mutating state, failing loudly instead of corrupting the run.
 ///
-/// Checkpoints are per rank (as on real machines: one file per rank); the
-/// multi-section composition and the on-disk atomic-write/manifest
-/// discipline live in io::CheckpointStore.
+/// Checkpoints are per rank (as on real machines: one file per rank). A rank
+/// file is header | META | MD | KMC, composed and read back in one place
+/// (core::EpochCheckpointer); the on-disk atomic-write/manifest discipline
+/// lives in io::CheckpointStore.
 class Checkpoint {
  public:
   static constexpr std::uint32_t kMagic = 0x4d4d4443;  // "MMDC"
@@ -63,23 +64,7 @@ class Checkpoint {
     double sample_ci_halfwidth = 0.0;   ///< ... and its 95% CI halfwidth
   };
 
-  // --- whole-file convenience (one header + one section) ---
-
-  /// Serialize the owned state of a lattice neighbor list.
-  static void save_md(std::ostream& os, const lat::LatticeNeighborList& lnl,
-                      double time_ps);
-
-  /// Restore into a compatible lattice; returns the saved simulation time.
-  /// Ghosts are left UNSET — run a ghost exchange before computing forces.
-  static double load_md(std::istream& is, lat::LatticeNeighborList& lnl);
-
-  /// Serialize the owned sites of a KMC model plus the MC clock.
-  static void save_kmc(std::ostream& os, const kmc::KmcModel& model,
-                       double mc_time_s);
-
-  static double load_kmc(std::istream& is, kmc::KmcModel& model);
-
-  // --- composing multi-section rank files (the coupled pipeline) ---
+  // --- composing multi-section rank files (core/pipeline.cpp) ---
 
   static void write_file_header(std::ostream& os);
   /// Throws on bad magic or version; a v1 file gets an explicit migration

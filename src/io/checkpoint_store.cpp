@@ -93,7 +93,7 @@ bool CheckpointStore::commit_epoch(std::uint64_t epoch) {
   std::sort(epochs.begin(), epochs.end());
   epochs.erase(std::unique(epochs.begin(), epochs.end()), epochs.end());
   std::vector<std::uint64_t> dropped;
-  while (static_cast<int>(epochs.size()) > keep_) {
+  while (epochs.size() > static_cast<std::size_t>(kKeepEpochs)) {
     dropped.push_back(epochs.front());
     epochs.erase(epochs.begin());
   }

@@ -13,7 +13,7 @@ class FaultInjector;
 ///
 /// One directory holds per-rank files plus a manifest:
 ///
-///   <dir>/epoch_<E>_rank_<R>.mmdc   one v2 Checkpoint stream per rank
+///   <dir>/epoch_<E>_rank_<R>.mmdc   one v3 Checkpoint stream per rank
 ///   <dir>/MANIFEST                  the epochs whose every rank file landed
 ///
 /// Writes are atomic and durable: blob -> <path>.tmp, write, fsync, rename,
@@ -24,21 +24,22 @@ class FaultInjector;
 /// names an epoch with missing rank files. Loaders walk the manifest newest
 /// first and fall back on any validation failure (graceful degradation).
 ///
-/// Old epochs are pruned at commit, keeping the last `keep_epochs` so a
+/// Old epochs are pruned at commit, keeping the last kKeepEpochs so a
 /// corrupt newest epoch still has a good predecessor to fall back to.
 ///
 /// An armed FaultInjector intercepts rank-blob writes (not manifest writes,
 /// so write counts in tests stay predictable).
 class CheckpointStore {
  public:
+  /// Committed epochs retained on disk: the newest plus one fallback.
+  static constexpr int kKeepEpochs = 2;
+
   CheckpointStore(std::string dir, int nranks);
 
   const std::string& dir() const { return dir_; }
   int nranks() const { return nranks_; }
 
   void set_fault_injector(FaultInjector* fi) { fault_ = fi; }
-  void set_keep_epochs(int n) { keep_ = n < 1 ? 1 : n; }
-  int keep_epochs() const { return keep_; }
 
   std::string rank_path(std::uint64_t epoch, int rank) const;
   std::string manifest_path() const;
@@ -69,7 +70,6 @@ class CheckpointStore {
 
   std::string dir_;
   int nranks_;
-  int keep_ = 2;
   FaultInjector* fault_ = nullptr;
 };
 

@@ -330,12 +330,6 @@ std::uint64_t KmcEngine::run_cycles(comm::Comm& comm, int n) {
   return stats_.events - before;
 }
 
-void KmcEngine::run_to_threshold(comm::Comm& comm) {
-  while (stats_.mc_time < cfg_.t_threshold) {
-    run_cycles(comm, 1);
-  }
-}
-
 std::vector<std::int64_t> KmcEngine::gather_vacancies(comm::Comm& comm) const {
   const auto mine = model_.owned_vacancy_sites();
   auto all = comm.gather_to<std::int64_t>(0, mine, comm::tags::kKmcVacancyGather);

@@ -77,8 +77,6 @@ class KmcEngine {
   /// Advance `n` cycles; returns events executed on this rank.
   std::uint64_t run_cycles(comm::Comm& comm, int n);
 
-  /// Advance until the MC clock reaches the configured t_threshold.
-  void run_to_threshold(comm::Comm& comm);
 
   double mc_time() const { return stats_.mc_time; }
   const KmcStats& stats() const { return stats_; }

@@ -24,7 +24,7 @@ enum class SiteState : std::uint8_t {
 inline bool is_atom(SiteState s) { return s != SiteState::Vacancy; }
 
 /// Configuration of the KMC stage. Defaults are the paper's: Fe at 600 K,
-/// attempt frequency 1e13/s, t_threshold = 2e-4 s of MC time.
+/// attempt frequency 1e13/s.
 struct KmcConfig {
   int nx = 10, ny = 10, nz = 10;
   double lattice_constant = util::iron::kLatticeConstant;
@@ -33,7 +33,6 @@ struct KmcConfig {
   double prefactor = util::iron::kAttemptFrequency;          ///< nu [1/s]
   double migration_barrier = util::iron::kVacancyMigrationBarrier;  ///< E_m0 [eV]
   double min_barrier = 0.05;           ///< clamp for downhill exchanges [eV]
-  double t_threshold = 2.0e-4;         ///< MC time budget [s] (paper §3)
   double dt_scale = 1.0;               ///< cycle dt = dt_scale / k_max
   std::uint64_t seed = 42;
   int table_segments = 5000;

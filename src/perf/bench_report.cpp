@@ -76,27 +76,6 @@ std::string compiler_string() {
 #endif
 }
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_number(std::ostream& os, double v) {
   if (!std::isfinite(v)) {
     os << "0";  // JSON has no inf/nan; a bench metric should never produce one
@@ -161,25 +140,25 @@ const BenchMetric* BenchReport::find(std::string_view metric) const {
 void BenchReport::write_json(std::ostream& os) const {
   os << "{\"schema\":\"mmd.bench\",\"schema_version\":" << kSchemaVersion
      << ",\"name\":";
-  write_escaped(os, name);
+  util::json::write_string(os, name);
   os << ",\n\"env\":{\"git_sha\":";
-  write_escaped(os, env.git_sha);
+  util::json::write_string(os, env.git_sha);
   os << ",\"compiler\":";
-  write_escaped(os, env.compiler);
+  util::json::write_string(os, env.compiler);
   os << ",\"flags\":";
-  write_escaped(os, env.flags);
+  util::json::write_string(os, env.flags);
   os << ",\"build_type\":";
-  write_escaped(os, env.build_type);
+  util::json::write_string(os, env.build_type);
   os << ",\"hardware_threads\":" << env.hardware_threads << ",\"timestamp_utc\":";
-  write_escaped(os, env.timestamp_utc);
+  util::json::write_string(os, env.timestamp_utc);
   os << "},\n\"harness\":{\"warmup\":" << warmup << ",\"repeats\":" << repeats
      << "},\n\"metrics\":[";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     const BenchMetric& m = metrics[i];
     os << (i == 0 ? "\n" : ",\n") << "{\"name\":";
-    write_escaped(os, m.name);
+    util::json::write_string(os, m.name);
     os << ",\"unit\":";
-    write_escaped(os, m.unit);
+    util::json::write_string(os, m.unit);
     os << ",\"lower_is_better\":" << (m.lower_is_better ? "true" : "false")
        << ",\"median\":";
     write_number(os, m.median);
@@ -297,8 +276,8 @@ DiffReport diff_reports(const BenchReport& baseline, const BenchReport& candidat
       out.metrics.push_back(std::move(d));
       continue;
     }
-    const double delta_rel = (c->median - b.median) / std::abs(b.median);
-    d.regression_rel = b.lower_is_better ? delta_rel : -delta_rel;
+    d.change_rel = (c->median - b.median) / std::abs(b.median);
+    d.regression_rel = b.lower_is_better ? d.change_rel : -d.change_rel;
     // Noise gate from the recorded spread of both sides: a robust sigma of
     // the repeat-to-repeat jitter, relative to the baseline magnitude.
     const double sigma = 1.4826 * std::max(b.mad, c->mad);
@@ -344,7 +323,7 @@ void write_diff_text(std::ostream& os, const DiffReport& diff) {
     }
     std::snprintf(line, sizeof(line),
                   "  %-44s %14.4g %14.4g %+8.1f%% %8.1f%%  %s\n", m.name.c_str(),
-                  m.base_median, m.cand_median, 100.0 * m.regression_rel,
+                  m.base_median, m.cand_median, 100.0 * m.change_rel,
                   100.0 * m.threshold_rel,
                   std::string(to_string(m.verdict)).c_str());
     os << line;

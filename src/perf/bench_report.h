@@ -99,8 +99,12 @@ struct MetricDiff {
   std::string unit;
   double base_median = 0.0;
   double cand_median = 0.0;
+  /// Signed change (candidate - baseline) / |baseline|, in the metric's own
+  /// direction: what the text table prints under "delta".
+  double change_rel = 0.0;
   /// Signed regression: positive = candidate worse, whatever the metric's
-  /// direction (higher-is-better metrics are sign-flipped).
+  /// direction (higher-is-better metrics are sign-flipped). Verdicts grade
+  /// this.
   double regression_rel = 0.0;
   /// The threshold that was actually applied (max of floor and noise gate).
   double threshold_rel = 0.0;

@@ -10,6 +10,7 @@
 
 #include "perf/scaling_model.h"
 #include "telemetry/comm_trace.h"
+#include "util/json.h"
 
 namespace mmd::perf {
 
@@ -101,15 +102,6 @@ RoundResult model_round(const PlatformConfig& platform, std::uint64_t nranks,
   return out;
 }
 
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 void write_points(std::ostream& os, const std::vector<ProjectionPoint>& pts,
                   const char* value_key, const char* paper_key) {
   os << "[";
@@ -120,7 +112,7 @@ void write_points(std::ostream& os, const std::vector<ProjectionPoint>& pts,
        << ",\"nodes\":" << p.nodes << ",\"comm_s\":" << p.comm_s
        << ",\"time_s\":" << p.time_s << ",\"" << value_key << "\":" << p.value
        << ",\"" << paper_key << "\":" << p.paper_value << ",\"bottleneck\":";
-    json_escape(os, p.bottleneck);
+    util::json::write_string(os, p.bottleneck);
     os << "}";
   }
   os << "]";
@@ -318,7 +310,7 @@ void write_projection_json(std::ostream& os, const ProjectionResult& r) {
   os << "],\"samples\":" << r.stats.send_samples.size() << "},";
   const PlatformConfig& pc = r.options.platform;
   os << "\"platform\":{\"name\":";
-  json_escape(os, pc.name);
+  util::json::write_string(os, pc.name);
   os << ",\"ranks_per_node\":" << pc.ranks_per_node
      << ",\"nodes_per_supernode\":" << pc.nodes_per_supernode
      << ",\"uplinks_per_supernode\":" << pc.uplinks_per_supernode

@@ -10,8 +10,8 @@
 #include <utility>
 
 #include "core/scenario.h"
-#include "telemetry/comm_trace.h"
 #include "util/crc32.h"
+#include "util/json.h"
 #include "util/timer.h"
 
 namespace mmd::serve {
@@ -88,27 +88,6 @@ bool load_marker(const fs::path& marker, JobResult& r) {
   } catch (const std::exception&) {
     return false;
   }
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -247,25 +226,10 @@ void CampaignRunner::run_one_job(std::size_t spec_index, ScenarioSpec job,
         // the scenario gave (per-job isolation, like checkpoints).
         const fs::path trace_path =
             jobdir / fs::path(cfg.comm_trace).filename();
-        const auto counter = [&](const char* name) -> std::uint64_t {
-          const auto it = r.metrics.counters.find(name);
-          return it == r.metrics.counters.end() ? 0 : it->second;
-        };
-        const auto nranks_u =
-            static_cast<std::uint64_t>(std::max(1, cfg.nranks));
-        const std::uint64_t steps =
-            (counter("md.steps") + counter("kmc.cycles")) / nranks_u;
-        std::map<std::string, std::string> meta;
-        meta["scenario"] = job.id;
-        meta["ranks"] = std::to_string(cfg.nranks);
-        meta["box"] = std::to_string(cfg.md.nx);
-        meta["atoms"] = std::to_string(2 * cfg.md.nx * cfg.md.ny * cfg.md.nz);
-        meta["steps"] = std::to_string(steps > 0 ? steps : 1);
-        const auto trace = telemetry::trace_from_recorder(
-            *session.comm_recorder(), std::move(meta));
         std::string err;
-        if (!telemetry::write_comm_trace_file(trace_path.string(), trace,
-                                              &err)) {
+        if (!core::write_comm_trace(trace_path.string(), cfg, job.id,
+                                    *session.comm_recorder(), r.metrics,
+                                    &err)) {
           // A trace write failure must not fail a finished job.
           std::fprintf(stderr, "campaign: %s\n", err.c_str());
         }
@@ -312,7 +276,7 @@ bool write_campaign_summary_file(const std::string& path,
   os << "{\n";
   os << "  \"schema\": 1,\n";
   os << "  \"campaign\": ";
-  json_escape(os, spec.name);
+  util::json::write_string(os, spec.name);
   os << ",\n";
   os << "  \"jobs_total\": " << spec.jobs.size() << ",\n";
   os << "  \"completed\": " << outcome.completed << ",\n";
@@ -332,9 +296,9 @@ bool write_campaign_summary_file(const std::string& path,
   for (std::size_t i = 0; i < outcome.jobs.size(); ++i) {
     const JobResult& r = outcome.jobs[i];
     os << "    {\"id\": ";
-    json_escape(os, r.id);
+    util::json::write_string(os, r.id);
     os << ", \"label\": ";
-    json_escape(os, r.label);
+    util::json::write_string(os, r.label);
     os << ", \"priority\": " << r.priority
        << ", \"skipped\": " << (r.skipped ? "true" : "false")
        << ", \"wall_seconds\": " << r.wall_seconds
@@ -343,7 +307,7 @@ bool write_campaign_summary_file(const std::string& path,
        << ", \"kmc_events\": " << r.kmc_events;
     if (!r.error.empty()) {
       os << ", \"error\": ";
-      json_escape(os, r.error);
+      util::json::write_string(os, r.error);
     }
     os << ",\n     \"phase\": {\"md_seconds\": " << r.md_seconds
        << ", \"kmc_seconds\": " << r.kmc_seconds
@@ -360,7 +324,7 @@ bool write_campaign_summary_file(const std::string& path,
   bool first = true;
   for (const auto& [name, v] : outcome.fleet.counters) {
     os << (first ? "" : ", ") << "\n      ";
-    json_escape(os, name);
+    util::json::write_string(os, name);
     os << ": " << v;
     first = false;
   }
@@ -368,7 +332,7 @@ bool write_campaign_summary_file(const std::string& path,
   first = true;
   for (const auto& [name, v] : outcome.fleet.gauge_max) {
     os << (first ? "" : ", ") << "\n      ";
-    json_escape(os, name);
+    util::json::write_string(os, name);
     os << ": " << v;
     first = false;
   }

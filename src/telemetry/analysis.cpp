@@ -9,6 +9,7 @@
 
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
+#include "util/json.h"
 
 namespace mmd::telemetry {
 
@@ -61,30 +62,9 @@ std::vector<PhaseStats> finalize_phases(std::map<std::string, PhaseAccum>& accum
   return out;
 }
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_phase_json(std::ostream& os, const PhaseStats& p) {
   os << "{\"name\":";
-  write_escaped(os, p.name);
+  util::json::write_string(os, p.name);
   os << ",\"ranks\":" << p.ranks << ",\"spans\":" << p.spans
      << ",\"critical_path_s\":" << p.total_max_s
      << ",\"critical_rank\":" << p.critical_rank
@@ -267,7 +247,7 @@ void write_perf_report_json(std::ostream& os, const PerfReport& report) {
   for (std::size_t i = 0; i < report.gauges.size(); ++i) {
     const GaugeSpread& g = report.gauges[i];
     os << (i == 0 ? "\n" : ",\n") << "{\"name\":";
-    write_escaped(os, g.name);
+    util::json::write_string(os, g.name);
     os << ",\"max\":" << g.max << ",\"max_rank\":" << g.max_rank
        << ",\"mean\":" << g.mean << ",\"imbalance\":" << g.imbalance << "}";
   }

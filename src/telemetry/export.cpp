@@ -10,31 +10,11 @@
 #include "telemetry/comm_recorder.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
+#include "util/json.h"
 
 namespace mmd::telemetry {
 
 namespace {
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
@@ -105,7 +85,7 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer,
       const TraceEvent& ev = t->ring[e];
       sep();
       os << "{\"ph\":\"X\",\"name\":";
-      write_escaped(os, ev.name != nullptr ? ev.name : "?");
+      util::json::write_string(os, ev.name != nullptr ? ev.name : "?");
       os << ",\"pid\":" << t->rank << ",\"tid\":" << t->lane << ",\"ts\":" << us(ev.t0_ns)
          << ",\"dur\":" << us(ev.t1_ns - ev.t0_ns);
       if (ev.dma_ops != 0 || ev.dma_bytes != 0) {
@@ -175,7 +155,7 @@ void write_slot(std::ostream& os, const MetricsRegistry::RankSlot& slot) {
   for (const auto& [name, v] : slot.counters) {
     if (!first) os << ",";
     first = false;
-    write_escaped(os, name);
+    util::json::write_string(os, name);
     os << ":" << v;
   }
   os << "},\"gauges\":{";
@@ -183,7 +163,7 @@ void write_slot(std::ostream& os, const MetricsRegistry::RankSlot& slot) {
   for (const auto& [name, v] : slot.gauges) {
     if (!first) os << ",";
     first = false;
-    write_escaped(os, name);
+    util::json::write_string(os, name);
     os << ":" << v;
   }
   os << "},\"distributions\":{";
@@ -191,7 +171,7 @@ void write_slot(std::ostream& os, const MetricsRegistry::RankSlot& slot) {
   for (const auto& [name, s] : slot.dists) {
     if (!first) os << ",";
     first = false;
-    write_escaped(os, name);
+    util::json::write_string(os, name);
     os << ":{\"count\":" << s.count() << ",\"mean\":" << s.mean()
        << ",\"min\":" << s.min() << ",\"max\":" << s.max()
        << ",\"variance\":" << s.variance() << "}";
@@ -208,7 +188,7 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& registry) {
   for (const auto& [name, v] : agg.counters) {
     if (!first) os << ",";
     first = false;
-    write_escaped(os, name);
+    util::json::write_string(os, name);
     os << ":" << v;
   }
   os << "},\"gauge_max\":{";
@@ -216,7 +196,7 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& registry) {
   for (const auto& [name, v] : agg.gauge_max) {
     if (!first) os << ",";
     first = false;
-    write_escaped(os, name);
+    util::json::write_string(os, name);
     os << ":" << v;
   }
   os << "},\"gauge_sum\":{";
@@ -224,7 +204,7 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& registry) {
   for (const auto& [name, v] : agg.gauge_sum) {
     if (!first) os << ",";
     first = false;
-    write_escaped(os, name);
+    util::json::write_string(os, name);
     os << ":" << v;
   }
   os << "},\"distributions\":{";
@@ -232,7 +212,7 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& registry) {
   for (const auto& [name, s] : agg.dists) {
     if (!first) os << ",";
     first = false;
-    write_escaped(os, name);
+    util::json::write_string(os, name);
     os << ":{\"count\":" << s.count() << ",\"mean\":" << s.mean()
        << ",\"min\":" << s.min() << ",\"max\":" << s.max()
        << ",\"variance\":" << s.variance() << "}";

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -163,6 +164,10 @@ class Parser {
       const char c = peek();
       ++pos_;
       if (c == '"') return out;
+      // RFC 8259: control characters must be escaped inside strings.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -247,6 +252,27 @@ Value parse_file(const std::string& path) {
   } catch (const Error& e) {
     throw Error("'" + path + "': " + e.what());
   }
+}
+
+void write_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
 }
 
 }  // namespace mmd::util::json

@@ -1,12 +1,14 @@
 #pragma once
 
 // Minimal JSON reader for the machine-readable artifacts this repo emits
-// (BENCH_*.json, metrics.json, figure dumps). Strict enough for round-trip
-// use by tools/mmd_perf_diff and the tests; not a general-purpose library —
+// (BENCH_*.json, metrics.json, figure dumps), plus the one string escaper all
+// of their writers share. Strict enough for round-trip use by
+// tools/mmd_perf_diff and the tests; not a general-purpose library —
 // numbers are always doubles, objects preserve insertion order so diffs stay
 // stable against the writers' ordering.
 
 #include <cstddef>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -76,5 +78,9 @@ Value parse(std::string_view text);
 /// Parse the file's whole contents; throws json::Error (unreadable file or
 /// malformed content, the message names the path).
 Value parse_file(const std::string& path);
+
+/// Write `s` as a JSON string literal: quote, backslash and every control
+/// character escaped, so parse() (and any strict reader) reads `s` back.
+void write_string(std::ostream& os, std::string_view s);
 
 }  // namespace mmd::util::json

@@ -188,5 +188,30 @@ TEST(BenchDiff, TextTableMentionsEveryMetric) {
   EXPECT_NE(os.str().find("overall: pass"), std::string::npos);
 }
 
+TEST(BenchDiff, HigherIsBetterDeltaIsTheSignedChange) {
+  // A jobs_per_hour-style metric: the table prints the signed change
+  // (candidate - baseline) / |baseline|, so a gain reads positive, while the
+  // verdict still grades the direction-aware regression.
+  const auto report = [](double v) {
+    return make_report("b", {{"jobs_per_hour", {v, v, v}}},
+                        /*lower_is_better=*/false);
+  };
+  const DiffReport gain = diff_reports(report(100.0), report(176.6));
+  ASSERT_EQ(gain.metrics.size(), 1u);
+  EXPECT_NEAR(gain.metrics[0].change_rel, 0.766, 1e-12);
+  EXPECT_NEAR(gain.metrics[0].regression_rel, -0.766, 1e-12);
+  EXPECT_EQ(gain.overall(), Verdict::Pass);
+  std::ostringstream gain_text;
+  write_diff_text(gain_text, gain);
+  EXPECT_NE(gain_text.str().find("+76.6%"), std::string::npos) << gain_text.str();
+  EXPECT_EQ(gain_text.str().find("-76.6%"), std::string::npos) << gain_text.str();
+
+  const DiffReport loss = diff_reports(report(100.0), report(50.0));
+  EXPECT_EQ(loss.overall(), Verdict::Fail);
+  std::ostringstream loss_text;
+  write_diff_text(loss_text, loss);
+  EXPECT_NE(loss_text.str().find("-50.0%"), std::string::npos) << loss_text.str();
+}
+
 }  // namespace
 }  // namespace mmd::perf

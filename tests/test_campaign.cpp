@@ -4,6 +4,7 @@
 // interleaving evidence, and the summary JSON artifact.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -13,6 +14,7 @@
 #include "core/simulation.h"
 #include "serve/campaign.h"
 #include "serve/campaign_runner.h"
+#include "telemetry/comm_trace.h"
 #include "util/json.h"
 #include "util/key_value.h"
 
@@ -286,6 +288,31 @@ TEST(CampaignRunner, SummaryJsonCarriesRollupAndNamespacedMetrics) {
     sum += counters.at("job/j00" + std::to_string(j) + "/kmc.events").number();
   }
   EXPECT_EQ(sum, counters.at("kmc.events").number());
+}
+
+TEST(CampaignRunner, CommTraceCarriesTheReplayMeta) {
+  // comm.trace jobs write their trace under the job directory with the same
+  // meta mmd_run writes, md_steps and kmc_cycles included.
+  serve::CampaignRunner::Options opt;
+  opt.root = fresh_dir("comm_trace");
+  serve::CampaignRunner runner(quick_spec("ranks = 2\ncomm.trace = job.mmdtrace\n"),
+                               opt);
+  const auto outcome = runner.run();
+  ASSERT_EQ(outcome.completed, 4);
+  for (const serve::JobResult& r : outcome.jobs) {
+    const auto trace = telemetry::read_comm_trace_file(
+        (fs::path(opt.root) / r.id / "job.mmdtrace").string());
+    EXPECT_EQ(trace.meta.at("scenario"), r.id);
+    EXPECT_EQ(trace.meta.at("ranks"), "2");
+    EXPECT_EQ(trace.meta.at("box"), "6");
+    EXPECT_EQ(trace.meta.at("atoms"), "432");
+    const std::uint64_t md_steps = r.metrics.counter("md.steps") / 2;
+    EXPECT_GT(md_steps, 0u);
+    EXPECT_EQ(trace.meta_u64("md_steps", 0), md_steps) << r.id;
+    EXPECT_EQ(trace.meta_u64("kmc_cycles", 0), 8u) << r.id;
+    EXPECT_EQ(trace.meta_u64("steps", 0), md_steps + 8u) << r.id;
+    EXPECT_GT(trace.total_stored(), 0u) << r.id;
+  }
 }
 
 }  // namespace

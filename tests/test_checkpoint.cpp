@@ -19,6 +19,7 @@
 #include "core/simulation.h"
 #include "io/checkpoint_store.h"
 #include "io/fault_injector.h"
+#include "util/crc32.h"
 
 namespace mmd {
 namespace {
@@ -84,7 +85,7 @@ void expect_same_physics(const core::SimulationReport& a,
 TEST(CheckpointStore, CommitPrunesOldEpochsAndLeavesNoTempFiles) {
   const std::string dir = fresh_dir("store_prune");
   io::CheckpointStore store(dir, 2);
-  store.set_keep_epochs(2);
+  ASSERT_EQ(io::CheckpointStore::kKeepEpochs, 2);
 
   const std::string blob = "pretend-checkpoint-payload";
   for (std::uint64_t e : {1u, 2u, 3u}) {
@@ -124,7 +125,6 @@ TEST(CheckpointStore, ConcurrentSiblingStoresStayIsolated) {
   for (int s = 0; s < kStores; ++s) {
     stores.push_back(std::make_unique<io::CheckpointStore>(
         root + "/job" + std::to_string(s), /*nranks=*/1));
-    stores.back()->set_keep_epochs(2);
   }
   std::vector<std::thread> threads;
   for (int s = 0; s < kStores; ++s) {
@@ -139,6 +139,7 @@ TEST(CheckpointStore, ConcurrentSiblingStoresStayIsolated) {
   }
   for (auto& t : threads) t.join();
 
+  ASSERT_EQ(io::CheckpointStore::kKeepEpochs, 2);
   for (int s = 0; s < kStores; ++s) {
     auto& store = *stores[static_cast<std::size_t>(s)];
     // Per-store keep-2 pruning: exactly the two newest epochs survive.
@@ -414,6 +415,57 @@ TEST(CheckpointRestart, CheckpointFromDifferentRunConfigStartsFresh) {
   EXPECT_GT(report.md_defects.vacancies, 0u);
   EXPECT_GT(report.kmc_mc_time, 0.0);
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Format golden: the v3 bytes of a fixed run's epoch files
+// ---------------------------------------------------------------------------
+
+/// CRC-32 of every committed rank file after a fixed 2-rank run that
+/// checkpoints every 4 KMC cycles, indexed [epoch 4, epoch 8][rank].
+std::vector<std::vector<std::uint32_t>> epoch_file_crcs(
+    core::SimulationConfig cfg, const std::string& dir) {
+  cfg.checkpoint_dir = dir;
+  cfg.checkpoint_every = 4;
+  core::Simulation(cfg).run();
+  const io::CheckpointStore store(dir, cfg.nranks);
+  EXPECT_EQ(store.committed_epochs(), (std::vector<std::uint64_t>{4, 8}));
+  std::vector<std::vector<std::uint32_t>> crcs;
+  for (const std::uint64_t epoch : store.committed_epochs()) {
+    crcs.emplace_back();
+    for (int rank = 0; rank < cfg.nranks; ++rank) {
+      const auto blob = store.read_rank_blob(epoch, rank);
+      EXPECT_TRUE(blob.has_value()) << "epoch " << epoch << " rank " << rank;
+      crcs.back().push_back(blob ? util::crc32(*blob) : 0u);
+    }
+  }
+  fs::remove_all(dir);
+  return crcs;
+}
+
+// The expected values were recorded from the v3 writer; they move only if the
+// serialized fields, their order, or the state they capture change. A change
+// that means to move them is a format change and needs a version bump.
+TEST(CheckpointGolden, AllDetailedEpochFilesKeepTheirV3Bytes) {
+  const auto crcs = epoch_file_crcs(base_config(), fresh_dir("golden_kmc"));
+  const std::vector<std::vector<std::uint32_t>> golden = {
+      {0x6060f600u, 0x812fb5d9u}, {0x304e4132u, 0xe1205514u}};
+  EXPECT_EQ(crcs, golden);
+}
+
+TEST(CheckpointGolden, SampledEpochFilesKeepTheirV3Bytes) {
+  // Schedule 4 detailed + 12 SCD + 4 detailed + 4 SCD: the epoch-8 META
+  // carries the "sampling" tag and a nonzero sampled cursor.
+  core::SimulationConfig cfg = base_config();
+  cfg.kmc_cycles = 24;
+  cfg.sampling.mode = core::SamplingPolicy::Mode::Scd;
+  cfg.sampling.window = 4;
+  cfg.sampling.stride = 12;
+  cfg.sampling.replicates = 4;
+  const auto crcs = epoch_file_crcs(cfg, fresh_dir("golden_sampling"));
+  const std::vector<std::vector<std::uint32_t>> golden = {
+      {0x78b4808cu, 0xc95b86b4u}, {0x112968b2u, 0x547a9a37u}};
+  EXPECT_EQ(crcs, golden);
 }
 
 }  // namespace

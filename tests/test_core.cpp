@@ -7,16 +7,6 @@
 namespace mmd::core {
 namespace {
 
-TEST(Scenario, MdSimdKeyParsesAutoAndOff) {
-  const auto parse = [](const std::string& text) {
-    return scenario_from_kv(util::KeyValueConfig::parse(text));
-  };
-  EXPECT_TRUE(parse("box = 6\n").use_simd_force);  // default: auto
-  EXPECT_TRUE(parse("box = 6\nmd.simd = auto\n").use_simd_force);
-  EXPECT_FALSE(parse("box = 6\nmd.simd = off\n").use_simd_force);
-  EXPECT_THROW(parse("box = 6\nmd.simd = on\n"), std::invalid_argument);
-}
-
 TEST(Scenario, SampleKeysParseWithDefaults) {
   const auto parse = [](const std::string& text) {
     return scenario_from_kv(util::KeyValueConfig::parse(text));

@@ -15,6 +15,30 @@ namespace {
 
 constexpr double kA = 2.855;
 
+// Single-section files composed from the section API: file header, then one
+// MD or KMC section (a pipeline rank file adds META before them).
+void save_md_file(std::ostream& os, const lat::LatticeNeighborList& lnl,
+                  double time_ps) {
+  Checkpoint::write_file_header(os);
+  Checkpoint::write_md_section(os, lnl, time_ps);
+}
+
+double load_md_file(std::istream& is, lat::LatticeNeighborList& lnl) {
+  Checkpoint::read_file_header(is);
+  return Checkpoint::read_md_section(is, lnl);
+}
+
+void save_kmc_file(std::ostream& os, const kmc::KmcModel& model,
+                   double mc_time_s) {
+  Checkpoint::write_file_header(os);
+  Checkpoint::write_kmc_section(os, model, mc_time_s);
+}
+
+double load_kmc_file(std::istream& is, kmc::KmcModel& model) {
+  Checkpoint::read_file_header(is);
+  return Checkpoint::read_kmc_section(is, model);
+}
+
 TEST(Xyz, SpeciesSymbols) {
   EXPECT_STREQ(species_symbol(-1), "X");
   EXPECT_STREQ(species_symbol(0), "Fe");
@@ -117,7 +141,7 @@ TEST(Checkpoint, MdRoundTrip) {
     lnl.entry(idx).r += util::Vec3{0.4, 0.3, 0.1};
     lnl.detach(idx);
     std::ostringstream os;
-    Checkpoint::save_md(os, lnl, engine.simulated_time());
+    save_md_file(os, lnl, engine.simulated_time());
     blob = os.str();
     for (std::size_t i : lnl.owned_indices()) {
       expected_r.push_back(lnl.entry(i).r);
@@ -128,7 +152,7 @@ TEST(Checkpoint, MdRoundTrip) {
   lat::LatticeNeighborList restored(setup.geo, setup.dd.local_box(0),
                                     cfg.cutoff + md::kNeighborSkin);
   std::istringstream is(blob);
-  const double t = Checkpoint::load_md(is, restored);
+  const double t = load_md_file(is, restored);
   EXPECT_GT(t, 0.0);
   std::size_t k = 0;
   for (std::size_t i : restored.owned_indices()) {
@@ -153,20 +177,20 @@ TEST(Checkpoint, MdRejectsWrongGeometry) {
     md::MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
     engine.initialize(comm);
     std::ostringstream os;
-    Checkpoint::save_md(os, engine.lattice(), 0.0);
+    save_md_file(os, engine.lattice(), 0.0);
     blob = os.str();
   });
   lat::BccGeometry other(8, 8, 8, cfg.lattice_constant);
   lat::LatticeNeighborList wrong(other, lat::LocalBox{0, 0, 0, 8, 8, 8, 2}, 5.0);
   std::istringstream is(blob);
-  EXPECT_THROW(Checkpoint::load_md(is, wrong), std::runtime_error);
+  EXPECT_THROW(load_md_file(is, wrong), std::runtime_error);
 }
 
 TEST(Checkpoint, RejectsCorruptHeader) {
   std::istringstream is(std::string("garbage data that is not a checkpoint"));
   lat::BccGeometry g(4, 4, 4, kA);
   lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 4, 4, 4, 2}, 5.0);
-  EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error);
+  EXPECT_THROW(load_md_file(is, lnl), std::runtime_error);
 }
 
 TEST(Checkpoint, KmcRoundTrip) {
@@ -181,10 +205,10 @@ TEST(Checkpoint, KmcRoundTrip) {
   model.set_state_global(17, kmc::SiteState::Vacancy);
   model.set_state_global(333, kmc::SiteState::Cu);
   std::ostringstream os;
-  Checkpoint::save_kmc(os, model, 1.5e-4);
+  save_kmc_file(os, model, 1.5e-4);
   kmc::KmcModel restored(cfg, geo, dd, tables, 0);
   std::istringstream is(os.str());
-  EXPECT_DOUBLE_EQ(Checkpoint::load_kmc(is, restored), 1.5e-4);
+  EXPECT_DOUBLE_EQ(load_kmc_file(is, restored), 1.5e-4);
   EXPECT_EQ(restored.count_owned_vacancies(), 1u);
   std::vector<std::size_t> images;
   restored.images_of_global(333, images);
@@ -210,7 +234,7 @@ std::string md_blob(const lat::BccGeometry& g, const lat::LocalBox& box) {
   extra.id = 7;
   lnl.add_runaway(extra, lnl.box().entry_index({2, 2, 2, 1}));
   std::ostringstream os;
-  Checkpoint::save_md(os, lnl, 0.5);
+  save_md_file(os, lnl, 0.5);
   return os.str();
 }
 
@@ -226,7 +250,7 @@ void patch_u32(std::string& blob, std::size_t off, std::uint32_t v) {
   }
 }
 
-// v2 layout: file header 8 B; section kind @8, length @12, crc @20,
+// Single-section layout: file header 8 B; section kind @8, length @12, crc @20,
 // payload @24. MD payload: 9*i32 geometry, f64 time, u64 count, then
 // records of 90 B + u32 chain_len (+ chain).
 constexpr std::size_t kPayloadOff = 24;
@@ -248,7 +272,7 @@ TEST(Checkpoint, TruncationRejectedAtAnyLength) {
        len += 1 + blob.size() / 97) {
     lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
     std::istringstream is(blob.substr(0, len));
-    EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error)
+    EXPECT_THROW(load_md_file(is, lnl), std::runtime_error)
         << "truncation at byte " << len << " was not rejected";
   }
 }
@@ -262,7 +286,7 @@ TEST(Checkpoint, BitFlipAnywhereInPayloadRejected) {
     bad[off] = static_cast<char>(bad[off] ^ 0x10);
     lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
     std::istringstream is(bad);
-    EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error)
+    EXPECT_THROW(load_md_file(is, lnl), std::runtime_error)
         << "bit flip at byte " << off << " was not rejected";
   }
 }
@@ -278,7 +302,7 @@ TEST(Checkpoint, OversizedChainLenRejectedBeforeAllocation) {
   lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
   std::istringstream is(blob);
   try {
-    Checkpoint::load_md(is, lnl);
+    load_md_file(is, lnl);
     FAIL() << "oversized chain_len was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("chain length"), std::string::npos)
@@ -294,7 +318,7 @@ TEST(Checkpoint, OversizedSectionLengthRejected) {
   lat::BccGeometry g(3, 3, 3, kA);
   lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
   std::istringstream is(blob);
-  EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error);
+  EXPECT_THROW(load_md_file(is, lnl), std::runtime_error);
 }
 
 TEST(Checkpoint, Version1RejectedWithMigrationMessage) {
@@ -304,7 +328,7 @@ TEST(Checkpoint, Version1RejectedWithMigrationMessage) {
   lat::LatticeNeighborList lnl(g, lat::LocalBox{0, 0, 0, 3, 3, 3, 2}, 5.0);
   std::istringstream is(blob);
   try {
-    Checkpoint::load_md(is, lnl);
+    load_md_file(is, lnl);
     FAIL() << "version 1 blob was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
@@ -334,7 +358,7 @@ TEST(Checkpoint, MultiRankRoundTripWithRunawayChains) {
       lnl.add_runaway(a, host);
     }
     std::ostringstream os;
-    Checkpoint::save_md(os, lnl, 1.0 + rank);
+    save_md_file(os, lnl, 1.0 + rank);
 
     // Capture the expected chain (head order) and entry state.
     std::vector<std::int64_t> expected_chain;
@@ -346,7 +370,7 @@ TEST(Checkpoint, MultiRankRoundTripWithRunawayChains) {
 
     lat::LatticeNeighborList restored(g, dd.local_box(rank), 5.0);
     std::istringstream is(os.str());
-    EXPECT_DOUBLE_EQ(Checkpoint::load_md(is, restored), 1.0 + rank);
+    EXPECT_DOUBLE_EQ(load_md_file(is, restored), 1.0 + rank);
     EXPECT_EQ(restored.count_owned_vacancies(), lnl.count_owned_vacancies());
     EXPECT_EQ(restored.count_owned_runaways(), lnl.count_owned_runaways());
     std::vector<std::int64_t> got_chain;
@@ -372,10 +396,10 @@ TEST(Checkpoint, KindMismatchRejected) {
       pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), 200);
   kmc::KmcModel model(cfg, geo, dd, tables, 0);
   std::ostringstream os;
-  Checkpoint::save_kmc(os, model, 0.0);
+  save_kmc_file(os, model, 0.0);
   lat::LatticeNeighborList lnl(geo, dd.local_box(0), 5.0);
   std::istringstream is(os.str());
-  EXPECT_THROW(Checkpoint::load_md(is, lnl), std::runtime_error);
+  EXPECT_THROW(load_md_file(is, lnl), std::runtime_error);
 }
 
 }  // namespace

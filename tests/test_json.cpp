@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "util/json.h"
@@ -41,6 +42,26 @@ TEST(Json, StringEscapes) {
   // A = 'A'; é = e-acute, two UTF-8 bytes.
   EXPECT_EQ(parse(R"("A")").str(), "A");
   EXPECT_EQ(parse(R"("é")").str(), "\xc3\xa9");
+}
+
+TEST(Json, UnescapedControlCharacterInStringRejected) {
+  // RFC 8259: U+0000..U+001F must be escaped inside strings.
+  EXPECT_THROW(parse("\"a\tb\""), Error);
+  EXPECT_THROW(parse("\"a\nb\""), Error);
+  EXPECT_THROW(parse(std::string("\"a\0b\"", 5)), Error);
+  EXPECT_NO_THROW(parse("{\n\t\"a\": 1\r\n}"));  // whitespace between tokens
+}
+
+TEST(Json, WriteStringEscapesEveryControlCharacter) {
+  std::string s = "quote\" backslash\\ ";
+  for (int c = 0; c < 0x20; ++c) s += static_cast<char>(c);
+  s += "\xc3\xa9";  // UTF-8 passes through unescaped
+  std::ostringstream os;
+  write_string(os, s);
+  for (const char c : os.str()) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << os.str();
+  }
+  EXPECT_EQ(parse(os.str()).str(), s);
 }
 
 TEST(Json, FindAndAt) {

@@ -311,5 +311,21 @@ TEST(TraceReplay, ProjectionJsonMatchesDocumentedSchema) {
   }
 }
 
+TEST(TraceReplay, ProjectionJsonEscapesControlCharacters) {
+  // Free-text values (here the platform name) may carry tabs and newlines;
+  // they must reach the JSON escaped, or strict readers reject the file.
+  const std::string name = "lab\tcluster\nrack \"2\"\x01";
+  ProjectionOptions opt;
+  opt.platform.name = name;
+  const ProjectionResult r = project_scaling(synthetic_trace(8, 10, 32768), opt);
+  std::ostringstream os;
+  write_projection_json(os, r);
+  const std::string text = os.str();
+  EXPECT_NE(text.find(R"("lab\tcluster\nrack \"2\"\u0001")"), std::string::npos)
+      << text;
+  const util::json::Value doc = util::json::parse(text);
+  EXPECT_EQ(doc.at("platform").at("name").str(), name);
+}
+
 }  // namespace
 }  // namespace mmd::perf

@@ -47,7 +47,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -55,7 +54,7 @@
 #include "core/simulation.h"
 #include "lattice/geometry.h"
 #include "telemetry/analysis.h"
-#include "telemetry/comm_trace.h"
+#include "telemetry/comm_recorder.h"
 #include "telemetry/export.h"
 #include "telemetry/session.h"
 #include "util/key_value.h"
@@ -209,35 +208,18 @@ int main(int argc, char** argv) {
                   trace_out.c_str());
     }
     if (!cfg.comm_trace.empty()) {
-      const auto agg = session.metrics().aggregate();
-      const auto counter = [&](const char* name) -> std::uint64_t {
-        const auto it = agg.counters.find(name);
-        return it == agg.counters.end() ? 0 : it->second;
-      };
-      const auto nranks_u = static_cast<std::uint64_t>(cfg.nranks);
-      // Per-rank step count: every rank walks the same MD + KMC loop, so the
-      // replay's per-step normalization divides the aggregate by nranks.
-      const std::uint64_t steps =
-          (counter("md.steps") + counter("kmc.cycles")) / nranks_u;
-      std::map<std::string, std::string> meta;
-      meta["scenario"] = config_path;
-      meta["ranks"] = std::to_string(cfg.nranks);
-      meta["box"] = std::to_string(box);
-      meta["atoms"] = std::to_string(2 * box * box * box);
-      meta["steps"] = std::to_string(steps > 0 ? steps : 1);
-      meta["md_steps"] = std::to_string(counter("md.steps") / nranks_u);
-      meta["kmc_cycles"] = std::to_string(counter("kmc.cycles") / nranks_u);
-      const auto trace = telemetry::trace_from_recorder(
-          *session.comm_recorder(), std::move(meta));
+      const telemetry::CommRecorder& recorder = *session.comm_recorder();
       std::string err;
-      if (!telemetry::write_comm_trace_file(cfg.comm_trace, trace, &err)) {
+      if (!core::write_comm_trace(cfg.comm_trace, cfg, config_path, recorder,
+                                  session.metrics().aggregate(), &err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
         return 1;
       }
       std::printf("wrote %s (comm trace: %llu events, %llu dropped)\n",
                   cfg.comm_trace.c_str(),
-                  static_cast<unsigned long long>(trace.total_stored()),
-                  static_cast<unsigned long long>(trace.total_dropped()));
+                  static_cast<unsigned long long>(recorder.total_recorded() -
+                                                  recorder.total_dropped()),
+                  static_cast<unsigned long long>(recorder.total_dropped()));
     }
     if (!metrics_out.empty()) {
       if (!telemetry::write_metrics_json_file(metrics_out, session.metrics())) {
