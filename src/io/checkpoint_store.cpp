@@ -1,14 +1,11 @@
 #include "io/checkpoint_store.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "io/atomic_file.h"
 #include "io/fault_injector.h"
 
 namespace mmd::io {
@@ -29,43 +26,11 @@ std::string CheckpointStore::rank_path(std::uint64_t epoch, int rank) const {
 
 std::string CheckpointStore::manifest_path() const { return dir_ + "/MANIFEST"; }
 
-bool CheckpointStore::write_file_atomic(const std::string& path,
-                                        std::string blob, bool allow_fault) {
-  if (allow_fault && fault_ != nullptr && !fault_->apply(blob)) return false;
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  const char* p = blob.data();
-  std::size_t left = blob.size();
-  bool ok = true;
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n <= 0) {
-      ok = false;
-      break;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  ::close(fd);
-  if (ok && std::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  // Make the rename itself durable.
-  const int dfd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
-}
-
 bool CheckpointStore::write_rank_blob(std::uint64_t epoch, int rank,
                                       const std::string& blob) {
-  return write_file_atomic(rank_path(epoch, rank), blob, /*allow_fault=*/true);
+  std::string out = blob;
+  if (fault_ != nullptr && !fault_->apply(out)) return false;
+  return write_file_atomic(rank_path(epoch, rank), out);
 }
 
 std::vector<std::uint64_t> CheckpointStore::committed_epochs() const {
@@ -100,7 +65,7 @@ bool CheckpointStore::commit_epoch(std::uint64_t epoch) {
   std::ostringstream os;
   os << "mmdc-manifest 2 " << nranks_ << "\n";
   for (const std::uint64_t e : epochs) os << "epoch " << e << "\n";
-  if (!write_file_atomic(manifest_path(), os.str(), /*allow_fault=*/false)) {
+  if (!write_file_atomic(manifest_path(), os.str())) {
     return false;
   }
   for (const std::uint64_t e : dropped) remove_epoch_files(e);

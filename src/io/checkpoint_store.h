@@ -16,12 +16,12 @@ class FaultInjector;
 ///   <dir>/epoch_<E>_rank_<R>.mmdc   one v3 Checkpoint stream per rank
 ///   <dir>/MANIFEST                  the epochs whose every rank file landed
 ///
-/// Writes are atomic and durable: blob -> <path>.tmp, write, fsync, rename,
-/// directory fsync. A crash at any point leaves either the old file or the
-/// new one, never a half-written checkpoint under the final name. An epoch
-/// becomes *committed* only when rank 0 rewrites the manifest (same atomic
-/// discipline) after every rank reported success — so the manifest never
-/// names an epoch with missing rank files. Loaders walk the manifest newest
+/// Writes are atomic and durable (io::write_file_atomic): blob -> <path>.tmp,
+/// write, fsync, rename, directory fsync. A crash at any point leaves either
+/// the old file or the new one, never a half-written checkpoint under the
+/// final name. An epoch becomes *committed* only when rank 0 rewrites the
+/// manifest (same atomic discipline) after every rank reported success — so
+/// the manifest never names an epoch with missing rank files. Loaders walk the manifest newest
 /// first and fall back on any validation failure (graceful degradation).
 ///
 /// Old epochs are pruned at commit, keeping the last kKeepEpochs so a
@@ -64,8 +64,6 @@ class CheckpointStore {
   void discard_rank_blob(std::uint64_t epoch, int rank) const;
 
  private:
-  bool write_file_atomic(const std::string& path, std::string blob,
-                         bool allow_fault);
   void remove_epoch_files(std::uint64_t epoch) const;
 
   std::string dir_;

@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "comm/neighborhood.h"
+
 namespace mmd::lat {
 
 namespace {
@@ -270,73 +272,54 @@ void GhostExchange::reverse_accumulate_force(comm::Comm& comm) {
       [](AtomEntry& e, const util::Vec3& v) { e.f += v; });
 }
 
-void GhostExchange::post_rho_axis(int axis, comm::NeighborhoodExchange& nx) {
-  for (int side = 0; side < 2; ++side) {
-    nx.expect(sides_[axis][side].peer,
-              axis_side(comm::tags::kGhostRho, axis, 1 - side));
-  }
-  for (int side = 0; side < 2; ++side) {
-    const Side& s = sides_[axis][side];
-    std::vector<double> rho;
-    rho.reserve(s.send_idx.size());
-    std::vector<double> chain_rho;
-    for (std::size_t idx : s.send_idx) {
-      const AtomEntry& e = lnl_->entry(idx);
-      rho.push_back(e.rho);
-      for (std::int32_t ri = e.runaway_head; ri != AtomEntry::kNoRunaway;
-           ri = lnl_->runaway(ri).next) {
-        chain_rho.push_back(lnl_->runaway(ri).rho);
-      }
-    }
-    comm::SectionWriter w;
-    w.add(std::span<const double>(rho));
-    w.add(std::span<const double>(chain_rho));
-    bytes_sent_ += w.bytes().size();
-    nx.send(s.peer, axis_side(comm::tags::kGhostRho, axis, side), w.bytes());
-  }
-}
-
-void GhostExchange::complete_rho_axis(int axis, comm::NeighborhoodExchange& nx) {
-  nx.complete([&](std::size_t side, comm::Message&& m) {
-    // The two sides' slabs are disjoint: unpack on arrival.
-    const Side& s = sides_[axis][side];
-    comm::SectionReader r(m.payload);
-    auto rho = r.take<double>();
-    auto chain_rho = r.take<double>();
-    if (rho.size() != s.recv_idx.size()) {
-      throw std::runtime_error("GhostExchange: rho slab size mismatch");
-    }
-    std::size_t ci = 0;
-    for (std::size_t pos = 0; pos < rho.size(); ++pos) {
-      AtomEntry& e = lnl_->entry(s.recv_idx[pos]);
-      e.rho = rho[pos];
-      for (std::int32_t ri = e.runaway_head; ri != AtomEntry::kNoRunaway;
-           ri = lnl_->runaway(ri).next) {
-        lnl_->runaway(ri).rho = chain_rho.at(ci++);
-      }
-    }
-  });
-}
-
-GhostExchange::RhoFlight GhostExchange::begin_exchange_rho(comm::Comm& comm) {
-  RhoFlight flight(comm);
-  post_rho_axis(0, flight.nx);
-  return flight;
-}
-
-void GhostExchange::finish_exchange_rho(comm::Comm&, RhoFlight& flight) {
-  complete_rho_axis(0, flight.nx);
-  // The y and z phases relay what x deposited in the halo, so they cannot be
-  // posted before x completes; each is still a concurrent two-sided round.
-  for (int axis = 1; axis < 3; ++axis) {
-    post_rho_axis(axis, flight.nx);
-    complete_rho_axis(axis, flight.nx);
-  }
-}
-
 void GhostExchange::exchange_rho(comm::Comm& comm) {
-  RhoFlight flight = begin_exchange_rho(comm);
-  finish_exchange_rho(comm, flight);
+  // The y and z phases relay what x deposited in the halo, so each axis
+  // completes before the next is posted; each is a concurrent two-sided round.
+  for (int axis = 0; axis < 3; ++axis) {
+    comm::NeighborhoodExchange nx(comm);
+    for (int side = 0; side < 2; ++side) {
+      nx.expect(sides_[axis][side].peer,
+                axis_side(comm::tags::kGhostRho, axis, 1 - side));
+    }
+    for (int side = 0; side < 2; ++side) {
+      const Side& s = sides_[axis][side];
+      std::vector<double> rho;
+      rho.reserve(s.send_idx.size());
+      std::vector<double> chain_rho;
+      for (std::size_t idx : s.send_idx) {
+        const AtomEntry& e = lnl_->entry(idx);
+        rho.push_back(e.rho);
+        for (std::int32_t ri = e.runaway_head; ri != AtomEntry::kNoRunaway;
+             ri = lnl_->runaway(ri).next) {
+          chain_rho.push_back(lnl_->runaway(ri).rho);
+        }
+      }
+      comm::SectionWriter w;
+      w.add(std::span<const double>(rho));
+      w.add(std::span<const double>(chain_rho));
+      bytes_sent_ += w.bytes().size();
+      nx.send(s.peer, axis_side(comm::tags::kGhostRho, axis, side), w.bytes());
+    }
+    nx.complete([&](std::size_t side, comm::Message&& m) {
+      // The two sides' slabs are disjoint: unpack on arrival.
+      const Side& s = sides_[axis][side];
+      comm::SectionReader r(m.payload);
+      auto rho = r.take<double>();
+      auto chain_rho = r.take<double>();
+      if (rho.size() != s.recv_idx.size()) {
+        throw std::runtime_error("GhostExchange: rho slab size mismatch");
+      }
+      std::size_t ci = 0;
+      for (std::size_t pos = 0; pos < rho.size(); ++pos) {
+        AtomEntry& e = lnl_->entry(s.recv_idx[pos]);
+        e.rho = rho[pos];
+        for (std::int32_t ri = e.runaway_head; ri != AtomEntry::kNoRunaway;
+             ri = lnl_->runaway(ri).next) {
+          lnl_->runaway(ri).rho = chain_rho.at(ci++);
+        }
+      }
+    });
+  }
 }
 
 }  // namespace mmd::lat

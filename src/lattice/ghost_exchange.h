@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "comm/neighborhood.h"
 #include "comm/world.h"
 #include "lattice/decomposition.h"
 #include "lattice/lattice_neighbor_list.h"
@@ -38,33 +37,10 @@ class GhostExchange {
   /// left the subdomain, from rehome_runaways) to their owners.
   void exchange(comm::Comm& comm, std::vector<RunawayAtom> emigrants = {});
 
-  /// A rho refresh whose first (x) phase is in flight: returned by
-  /// begin_exchange_rho so the caller can compute interior forces while the
-  /// largest phase's messages travel, then finish_exchange_rho.
-  class RhoFlight {
-   public:
-    RhoFlight(RhoFlight&&) = default;
-    RhoFlight& operator=(RhoFlight&&) = default;
-
-   private:
-    friend class GhostExchange;
-    explicit RhoFlight(comm::Comm& comm) : nx(comm) {}
-    comm::NeighborhoodExchange nx;
-  };
-
-  /// Post the x-phase of a rho refresh (both sides, aggregated, nonblocking)
-  /// and return without waiting. Must be paired with finish_exchange_rho on
-  /// the same Comm; ghost rho (and ghost-chain rho) is garbage until then.
-  RhoFlight begin_exchange_rho(comm::Comm& comm);
-
-  /// Complete the in-flight x phase, then run the y and z phases. After this
-  /// every ghost entry and ghost run-away chain carries the owner's rho.
-  void finish_exchange_rho(comm::Comm& comm, RhoFlight& flight);
-
   /// Refresh only the electron density (rho) of ghost entries and ghost
   /// run-away chains. Must be called after an `exchange()` with no chain
   /// mutations in between, so the ghost chain layout still mirrors the
-  /// sender's. Equivalent to begin + finish with no overlapped compute.
+  /// sender's.
   void exchange_rho(comm::Comm& comm);
 
   /// Reverse accumulation (the LAMMPS `reverse_comm` pattern, used by the
@@ -104,10 +80,6 @@ class GhostExchange {
   /// emigrants riding along (adopted later, in fixed side order).
   std::vector<RunawayAtom> unpack_side(int axis, int side,
                                        const comm::Message& m);
-
-  /// Post one rho phase (both sides) on `nx` / complete it.
-  void post_rho_axis(int axis, comm::NeighborhoodExchange& nx);
-  void complete_rho_axis(int axis, comm::NeighborhoodExchange& nx);
 
   /// Shared reverse-accumulate driver: ship halo values of one field back to
   /// their owners and add, nonblocking per axis, fixed side-apply order.

@@ -25,12 +25,8 @@ LatticeNeighborList::LatticeNeighborList(const BccGeometry& geo,
   }
   entries_.resize(box.num_entries());
   owned_.reserve(box.num_owned_sites());
-  const CellRegion interior = interior_region(box_, box_.halo);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const LocalCoord c = box_.coord_of(i);
-    if (!box_.owns(c)) continue;
-    owned_.push_back(i);
-    (interior.contains(c) ? interior_ : boundary_).push_back(i);
+    if (box_.owns(box_.coord_of(i))) owned_.push_back(i);
   }
 }
 

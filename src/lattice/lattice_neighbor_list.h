@@ -78,21 +78,6 @@ class LatticeNeighborList {
   /// Indices of all owned entries, in rank order (cached).
   const std::vector<std::size_t>& owned_indices() const { return owned_; }
 
-  /// Owned entries whose cell lies at least `halo` cells from every
-  /// subdomain face: their neighbor stencils never read ghost storage, so
-  /// their forces can be computed while a halo exchange is still in flight.
-  /// Disjoint from owned_boundary_indices(); the union (in rank order) is
-  /// owned_indices(). Empty when the subdomain is thinner than two halos.
-  const std::vector<std::size_t>& owned_interior_indices() const {
-    return interior_;
-  }
-
-  /// Owned entries within `halo` cells of a face — the complement shell,
-  /// whose stencils reach ghost entries (compute only after the exchange).
-  const std::vector<std::size_t>& owned_boundary_indices() const {
-    return boundary_;
-  }
-
   bool is_owned(std::size_t idx) const { return box_.owns(box_.coord_of(idx)); }
 
   // --- neighbor iteration --------------------------------------------------
@@ -221,8 +206,6 @@ class LatticeNeighborList {
   std::vector<RunawayAtom> runaways_;
   std::vector<std::int32_t> free_;
   std::vector<std::size_t> owned_;
-  std::vector<std::size_t> interior_;  ///< owned, stencil ghost-free
-  std::vector<std::size_t> boundary_;  ///< owned, stencil reads ghosts
   std::vector<SiteOffset> offsets_[2];
   std::vector<std::int64_t> deltas_[2];
   double reattach_threshold_ = 0.8;

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace mmd::lat {
 
@@ -72,60 +71,5 @@ struct LocalBox {
     return 2 * ((static_cast<std::int64_t>(dz) * sy() + dy) * sx() + dx) + dsub;
   }
 };
-
-/// A half-open box of owned cells, [x0,x1) x [y0,y1) x [z0,z1) in local cell
-/// coordinates — the unit the compute/communication overlap splits sweeps by.
-struct CellRegion {
-  int x0 = 0, x1 = 0, y0 = 0, y1 = 0, z0 = 0, z1 = 0;
-
-  bool empty() const { return x1 <= x0 || y1 <= y0 || z1 <= z0; }
-  std::size_t cells() const {
-    return empty() ? 0
-                   : static_cast<std::size_t>(x1 - x0) *
-                         static_cast<std::size_t>(y1 - y0) *
-                         static_cast<std::size_t>(z1 - z0);
-  }
-  bool contains(const LocalCoord& c) const {
-    return c.x >= x0 && c.x < x1 && c.y >= y0 && c.y < y1 && c.z >= z0 &&
-           c.z < z1;
-  }
-
-  static CellRegion full(const LocalBox& b) {
-    return {0, b.lx, 0, b.ly, 0, b.lz};
-  }
-};
-
-/// Owned cells at least `margin` cells from every subdomain face: a site in
-/// here has its whole neighbor stencil (reach <= margin cells) inside the
-/// owned region, so it can be computed while a halo exchange is in flight.
-/// Empty when the subdomain is thinner than 2*margin on any axis.
-inline CellRegion interior_region(const LocalBox& b, int margin) {
-  CellRegion r{margin, b.lx - margin, margin, b.ly - margin,
-               margin, b.lz - margin};
-  if (r.empty()) return {};
-  return r;
-}
-
-/// Decompose owned-minus-interior into at most 6 disjoint slab regions
-/// (z-slabs, then y-slabs, then x-slabs of the remainder). When the interior
-/// is empty the whole owned box is returned as a single region. Appends to
-/// `out`; skips empty slabs.
-inline void boundary_shell(const LocalBox& b, int margin,
-                           std::vector<CellRegion>& out) {
-  const CellRegion in = interior_region(b, margin);
-  if (in.empty()) {
-    if (!CellRegion::full(b).empty()) out.push_back(CellRegion::full(b));
-    return;
-  }
-  auto add = [&](CellRegion r) {
-    if (!r.empty()) out.push_back(r);
-  };
-  add({0, b.lx, 0, b.ly, 0, in.z0});
-  add({0, b.lx, 0, b.ly, in.z1, b.lz});
-  add({0, b.lx, 0, in.y0, in.z0, in.z1});
-  add({0, b.lx, in.y1, b.ly, in.z0, in.z1});
-  add({0, in.x0, in.y0, in.y1, in.z0, in.z1});
-  add({in.x1, b.lx, in.y0, in.y1, in.z0, in.z1});
-}
 
 }  // namespace mmd::lat

@@ -1,7 +1,6 @@
 #include "md/engine.h"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "lattice/neighbor_offsets.h"
@@ -221,63 +220,19 @@ void MdEngine::compute_all_forces(comm::Comm& comm) {
   }
   comp_.stop();
 
-  if (comm.size() == 1) {
-    // Single rank: the rho "exchange" is a local periodic copy with nothing
-    // in flight to hide, so keep the plain sequential shape.
-    comm_time_.start();
-    {
-      MMD_TRACE_SCOPE("md.ghost.rho");
-      ghosts_.exchange_rho(comm);
-    }
-    comm_time_.stop();
-    comp_.start();
-    {
-      MMD_TRACE_SCOPE("md.force.eam");
-      if (slave_ != nullptr) {
-        slave_->compute_forces(lnl_);
-      } else {
-        ref_force_.compute_forces(lnl_);
-      }
-    }
-    comp_.stop();
-    return;
-  }
-
-  // Compute/communication overlap: post the x phase of the rho exchange,
-  // sweep the interior cells (whose stencils never read ghosts) while the
-  // messages travel, then complete the exchange and sweep the boundary
-  // shell + run-aways, which do read ghost rho.
-  std::optional<lat::GhostExchange::RhoFlight> flight;
   comm_time_.start();
   {
     MMD_TRACE_SCOPE("md.ghost.rho");
-    flight = ghosts_.begin_exchange_rho(comm);
-  }
-  comm_time_.stop();
-  comp_.start();
-  {
-    MMD_TRACE_SCOPE("md.force.eam.interior");
-    if (slave_ != nullptr) {
-      slave_->compute_forces_interior(lnl_);
-    } else {
-      ref_force_.compute_entry_forces(lnl_, lnl_.owned_interior_indices());
-    }
-  }
-  comp_.stop();
-  comm_time_.start();
-  {
-    MMD_TRACE_SCOPE("comm.wait");
-    ghosts_.finish_exchange_rho(comm, *flight);
+    ghosts_.exchange_rho(comm);
   }
   comm_time_.stop();
   comp_.start();
   {
     MMD_TRACE_SCOPE("md.force.eam");
     if (slave_ != nullptr) {
-      slave_->compute_forces_boundary(lnl_);
+      slave_->compute_forces(lnl_);
     } else {
-      ref_force_.compute_entry_forces(lnl_, lnl_.owned_boundary_indices());
-      ref_force_.compute_runaway_forces(lnl_);
+      ref_force_.compute_forces(lnl_);
     }
   }
   comp_.stop();

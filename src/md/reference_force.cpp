@@ -67,29 +67,20 @@ util::Vec3 eam_force_on(const pot::EamTableSet& tables, const util::Vec3& r0,
 
 }  // namespace
 
-void ReferenceForce::compute_entry_forces(
-    lat::LatticeNeighborList& lnl, std::span<const std::size_t> indices) const {
-  for (std::size_t idx : indices) {
+void ReferenceForce::compute_forces(lat::LatticeNeighborList& lnl) const {
+  for (std::size_t idx : lnl.owned_indices()) {
     lat::AtomEntry& e = lnl.entry(idx);
     if (!e.is_atom()) continue;
     e.f = eam_force_on(*tables_, e.r, sp(e.type), e.rho, [&](auto&& f) {
       lnl.for_each_neighbor_of_entry(idx, f);
     });
   }
-}
-
-void ReferenceForce::compute_runaway_forces(lat::LatticeNeighborList& lnl) const {
   lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t host) {
     lat::RunawayAtom& a = lnl.runaway(ri);
     a.f = eam_force_on(*tables_, a.r, sp(a.type), a.rho, [&](auto&& f) {
       lnl.for_each_neighbor_of_runaway(ri, host, f);
     });
   });
-}
-
-void ReferenceForce::compute_forces(lat::LatticeNeighborList& lnl) const {
-  compute_entry_forces(lnl, lnl.owned_indices());
-  compute_runaway_forces(lnl);
 }
 
 double ReferenceForce::potential_energy(const lat::LatticeNeighborList& lnl) const {

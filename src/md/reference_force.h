@@ -1,7 +1,5 @@
 #pragma once
 
-#include <span>
-
 #include "lattice/lattice_neighbor_list.h"
 #include "potential/eam.h"
 
@@ -27,19 +25,6 @@ class ReferenceForce {
   /// Pass 2: forces on every owned atom. Requires rho valid on owned AND
   /// ghost entries (run exchange_rho between passes in parallel runs).
   void compute_forces(lat::LatticeNeighborList& lnl) const;
-
-  /// Pass 2 restricted to the given lattice entries. Used by the overlap
-  /// split: interior entries (lnl.owned_interior_indices()) only read owned
-  /// rho, so they can be computed while the rho exchange is in flight;
-  /// boundary entries follow after it completes. Per-entry force is a plain
-  /// assignment, so any partition of owned_indices() reproduces
-  /// compute_forces exactly.
-  void compute_entry_forces(lat::LatticeNeighborList& lnl,
-                            std::span<const std::size_t> indices) const;
-
-  /// Pass 2 for the owned run-away atoms (their stencils may reach ghost
-  /// chains anywhere in the halo: requires the completed rho exchange).
-  void compute_runaway_forces(lat::LatticeNeighborList& lnl) const;
 
   /// Potential energy attributed to this rank's owned atoms:
   /// sum_i [ F(rho_i) + 1/2 sum_j phi(r_ij) ].

@@ -79,28 +79,9 @@ void SlaveForceCompute::refresh_fprime(const lat::LatticeNeighborList& lnl) {
   }
 }
 
-void SlaveForceCompute::refresh_fprime_owned(const lat::LatticeNeighborList& lnl) {
-  const auto& embed = tables_->embed_of(0);
-  double* fp = planes_.fprime();
-  for (std::size_t i : lnl.owned_indices()) {
-    const lat::AtomEntry& e = lnl.entry(i);
-    fp[planes_.slot(i)] = e.is_atom() ? embed.derivative(e.rho) : 0.0;
-  }
-}
-
-void SlaveForceCompute::refresh_fprime_ghosts(const lat::LatticeNeighborList& lnl) {
-  const auto& embed = tables_->embed_of(0);
-  double* fp = planes_.fprime();
-  for (std::size_t i = 0; i < lnl.size(); ++i) {
-    if (lnl.is_owned(i)) continue;
-    const lat::AtomEntry& e = lnl.entry(i);
-    fp[planes_.slot(i)] = e.is_atom() ? embed.derivative(e.rho) : 0.0;
-  }
-}
-
 template <SlaveForceCompute::Stage S, bool Traditional>
 void SlaveForceCompute::sweep(
-    lat::LatticeNeighborList& lnl, const lat::CellRegion& region,
+    lat::LatticeNeighborList& lnl,
     std::vector<std::conditional_t<S == Stage::Rho, double, util::Vec3>>& out) {
   using Out = std::conditional_t<S == Stage::Rho, double, util::Vec3>;
   constexpr bool kFused = S == Stage::FusedForce;
@@ -115,10 +96,9 @@ void SlaveForceCompute::sweep(
   const int h = box.halo;
   const int wy = 2 * h + 1;
   const int rows_per_window = wy * wy;
-  // No zero-fill: every region entry is overwritten by the result DMA puts
-  // below, and entries outside the swept regions are never read.
+  // No zero-fill: every owned entry is overwritten by the result DMA puts
+  // below, and ghost entries are never read.
   out.resize(lnl.size());
-  if (region.empty()) return;
   const bool reuse = strategy_ == AccelStrategy::CompactedReuse ||
                      strategy_ == AccelStrategy::CompactedReuseDouble;
   // Primary table of the sweep: phi for the pair-interaction stages, f for
@@ -135,10 +115,8 @@ void SlaveForceCompute::sweep(
   const double cut2 = cutoff * cutoff;
   const double r_min = tables_->r_min;
 
-  const int ry = region.y1 - region.y0;
-  const int rx = region.x1 - region.x0;
-  const std::size_t total_rows = static_cast<std::size_t>(ry) *
-                                 static_cast<std::size_t>(region.z1 - region.z0);
+  const std::size_t total_rows = static_cast<std::size_t>(box.ly) *
+                                 static_cast<std::size_t>(box.lz);
 
   // Main-memory plane sources, in window-plane order.
   const std::size_t num_cells = planes_.cells();
@@ -214,7 +192,7 @@ void SlaveForceCompute::sweep(
     // the 64 KB store.
     const std::size_t budget = store.remaining() > 2048 ? store.remaining() - 2048 : 0;
     int bx = 0;
-    for (int cand = 1; cand <= rx; ++cand) {
+    for (int cand = 1; cand <= box.lx; ++cand) {
       const std::size_t out_bytes = static_cast<std::size_t>(cand) * 2 * sizeof(Out);
       if (window_bytes(cand) + out_bytes <= budget) bx = cand; else break;
     }
@@ -281,11 +259,11 @@ void SlaveForceCompute::sweep(
     };
 
     for (std::size_t row = row_begin; row < row_end; ++row) {
-      const int cy = region.y0 + static_cast<int>(row % static_cast<std::size_t>(ry));
-      const int cz = region.z0 + static_cast<int>(row / static_cast<std::size_t>(ry));
+      const int cy = static_cast<int>(row % static_cast<std::size_t>(box.ly));
+      const int cz = static_cast<int>(row / static_cast<std::size_t>(box.ly));
       bool window_valid = false;
-      for (int x0 = region.x0; x0 < region.x1; x0 += bx) {
-        const int bw = std::min(bx, region.x1 - x0);
+      for (int x0 = 0; x0 < box.lx; x0 += bx) {
+        const int bw = std::min(bx, box.lx - x0);
         // --- window transfer (one batched DMA regardless of plane count) ---
         runs.clear();
         if (reuse && window_valid) {
@@ -416,67 +394,38 @@ void SlaveForceCompute::sweep(
 }
 
 void SlaveForceCompute::run_scalar_stage(lat::LatticeNeighborList& lnl,
-                                         const lat::CellRegion& region,
                                          std::vector<double>& out_rho) {
   const std::uint64_t before = table_fallbacks_.load(std::memory_order_relaxed);
   if (strategy_ == AccelStrategy::TraditionalTable) {
-    sweep<Stage::Rho, true>(lnl, region, out_rho);
+    sweep<Stage::Rho, true>(lnl, out_rho);
   } else {
-    sweep<Stage::Rho, false>(lnl, region, out_rho);
+    sweep<Stage::Rho, false>(lnl, out_rho);
   }
   fold_fallbacks(before);
 }
 
 void SlaveForceCompute::run_vector_stage(lat::LatticeNeighborList& lnl,
                                          Stage stage,
-                                         const lat::CellRegion& region,
                                          std::vector<util::Vec3>& out_force) {
   const std::uint64_t before = table_fallbacks_.load(std::memory_order_relaxed);
   const bool trad = strategy_ == AccelStrategy::TraditionalTable;
   switch (stage) {
     case Stage::PairForce:
-      trad ? sweep<Stage::PairForce, true>(lnl, region, out_force)
-           : sweep<Stage::PairForce, false>(lnl, region, out_force);
+      trad ? sweep<Stage::PairForce, true>(lnl, out_force)
+           : sweep<Stage::PairForce, false>(lnl, out_force);
       break;
     case Stage::DensForce:
-      trad ? sweep<Stage::DensForce, true>(lnl, region, out_force)
-           : sweep<Stage::DensForce, false>(lnl, region, out_force);
+      trad ? sweep<Stage::DensForce, true>(lnl, out_force)
+           : sweep<Stage::DensForce, false>(lnl, out_force);
       break;
     case Stage::FusedForce:
-      trad ? sweep<Stage::FusedForce, true>(lnl, region, out_force)
-           : sweep<Stage::FusedForce, false>(lnl, region, out_force);
+      trad ? sweep<Stage::FusedForce, true>(lnl, out_force)
+           : sweep<Stage::FusedForce, false>(lnl, out_force);
       break;
     case Stage::Rho:
       throw std::logic_error("run_vector_stage: Rho writes a scalar output");
   }
   fold_fallbacks(before);
-}
-
-void SlaveForceCompute::force_stages(lat::LatticeNeighborList& lnl,
-                                     const lat::CellRegion& region) {
-  if (region.empty()) return;
-  if (fused_) {
-    run_vector_stage(lnl, Stage::FusedForce, region, fpair_stage_);
-  } else {
-    run_vector_stage(lnl, Stage::PairForce, region, fpair_stage_);
-    run_vector_stage(lnl, Stage::DensForce, region, fdens_stage_);
-  }
-}
-
-void SlaveForceCompute::scatter_forces(
-    lat::LatticeNeighborList& lnl,
-    std::span<const std::size_t> indices) const {
-  if (fused_) {
-    for (std::size_t idx : indices) {
-      lat::AtomEntry& e = lnl.entry(idx);
-      if (e.is_atom()) e.f = fpair_stage_[idx];
-    }
-  } else {
-    for (std::size_t idx : indices) {
-      lat::AtomEntry& e = lnl.entry(idx);
-      if (e.is_atom()) e.f = fpair_stage_[idx] + fdens_stage_[idx];
-    }
-  }
 }
 
 void SlaveForceCompute::fold_fallbacks(std::uint64_t before) {
@@ -496,7 +445,7 @@ void SlaveForceCompute::fold_fallbacks(std::uint64_t before) {
 
 void SlaveForceCompute::compute_rho(lat::LatticeNeighborList& lnl) {
   pack(lnl, /*with_fprime=*/false);
-  run_scalar_stage(lnl, lat::CellRegion::full(lnl.box()), rho_stage_);
+  run_scalar_stage(lnl, rho_stage_);
   for (std::size_t idx : lnl.owned_indices()) {
     lat::AtomEntry& e = lnl.entry(idx);
     if (e.is_atom()) e.rho = rho_stage_[idx];
@@ -514,33 +463,20 @@ void SlaveForceCompute::compute_forces(lat::LatticeNeighborList& lnl) {
     pack(lnl, /*with_fprime=*/true);
   }
   packed_fresh_ = false;
-  force_stages(lnl, lat::CellRegion::full(lnl.box()));
-  scatter_forces(lnl, lnl.owned_indices());
-  complement_runaways_force(lnl);
-}
-
-void SlaveForceCompute::compute_forces_interior(lat::LatticeNeighborList& lnl) {
-  if (!(packed_fresh_ && planes_.size() == lnl.size())) {
-    // Positions moved since the last pack. Stage them WITHOUT F'(rho): the
-    // ghost rho it would read is still in flight.
-    pack(lnl, /*with_fprime=*/false);
+  if (fused_) {
+    run_vector_stage(lnl, Stage::FusedForce, fpair_stage_);
+    for (std::size_t idx : lnl.owned_indices()) {
+      lat::AtomEntry& e = lnl.entry(idx);
+      if (e.is_atom()) e.f = fpair_stage_[idx];
+    }
+  } else {
+    run_vector_stage(lnl, Stage::PairForce, fpair_stage_);
+    run_vector_stage(lnl, Stage::DensForce, fdens_stage_);
+    for (std::size_t idx : lnl.owned_indices()) {
+      lat::AtomEntry& e = lnl.entry(idx);
+      if (e.is_atom()) e.f = fpair_stage_[idx] + fdens_stage_[idx];
+    }
   }
-  packed_fresh_ = false;
-  // Owned rho is final (compute_rho + run-away complement); ghost slots stay
-  // stale — interior windows never read them.
-  refresh_fprime_owned(lnl);
-  force_stages(lnl, lat::interior_region(lnl.box(), lnl.box().halo));
-  scatter_forces(lnl, lnl.owned_interior_indices());
-}
-
-void SlaveForceCompute::compute_forces_boundary(lat::LatticeNeighborList& lnl) {
-  // The rho exchange has completed: ghost F'(rho) becomes valid now.
-  refresh_fprime_ghosts(lnl);
-  const lat::LocalBox box = lnl.box();
-  std::vector<lat::CellRegion> shell;
-  lat::boundary_shell(box, box.halo, shell);
-  for (const lat::CellRegion& r : shell) force_stages(lnl, r);
-  scatter_forces(lnl, lnl.owned_boundary_indices());
   complement_runaways_force(lnl);
 }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -77,19 +76,6 @@ class SlaveForceCompute {
   void compute_rho(lat::LatticeNeighborList& lnl);
   void compute_forces(lat::LatticeNeighborList& lnl);
 
-  /// Overlap split of compute_forces, bit-identical to the unsplit call.
-  /// compute_forces_interior sweeps only the interior cells — whose windows
-  /// never read ghost storage — and may run while the rho ghost exchange is
-  /// still in flight (only OWNED F'(rho) is refreshed; ghost slots stay
-  /// stale and unread). compute_forces_boundary must run after the exchange
-  /// completes: it refreshes ghost F'(rho), sweeps the boundary shell, and
-  /// runs the run-away complement. Always call interior first, then
-  /// boundary; per-entry output is an assignment from the same fixed-order
-  /// window walk (and the SIMD kernels are lane-position independent), so
-  /// the region decomposition reproduces compute_forces exactly.
-  void compute_forces_interior(lat::LatticeNeighborList& lnl);
-  void compute_forces_boundary(lat::LatticeNeighborList& lnl);
-
   AccelStrategy strategy() const { return strategy_; }
 
   /// Toggle the fused single-sweep force kernel (default on). Off restores
@@ -136,30 +122,16 @@ class SlaveForceCompute {
   /// Rewrite only the F'(rho) plane of already packed planes (the rho
   /// exchange between the two phases of a step changes nothing else).
   void refresh_fprime(const lat::LatticeNeighborList& lnl);
-  /// Partial refreshes for the overlap split: owned slots can be refreshed
-  /// before the rho exchange completes; ghost slots only after.
-  void refresh_fprime_owned(const lat::LatticeNeighborList& lnl);
-  void refresh_fprime_ghosts(const lat::LatticeNeighborList& lnl);
 
-  /// One slave-core window sweep over the owned cells of `region`.
+  /// One slave-core window sweep over every owned cell.
   /// Stage::Rho writes per-entry densities into `out_rho`; the force stages
   /// write per-entry force (partial for Pair/DensForce, total for
   /// FusedForce) into `out_force`. Each overload accepts only the stages
   /// that produce its output type.
   void run_scalar_stage(lat::LatticeNeighborList& lnl,
-                        const lat::CellRegion& region,
                         std::vector<double>& out_rho);
   void run_vector_stage(lat::LatticeNeighborList& lnl, Stage stage,
-                        const lat::CellRegion& region,
                         std::vector<util::Vec3>& out_force);
-
-  /// Run the configured force stage shape (fused or two-pass) over one
-  /// region, leaving the results in the staging vectors.
-  void force_stages(lat::LatticeNeighborList& lnl,
-                    const lat::CellRegion& region);
-  /// Copy staged forces onto the given owned entries.
-  void scatter_forces(lat::LatticeNeighborList& lnl,
-                      std::span<const std::size_t> indices) const;
 
   /// Fold table-residency fallbacks recorded since `before` into telemetry
   /// (rank thread only) and log the first occurrence.
@@ -168,7 +140,7 @@ class SlaveForceCompute {
   /// The stage kernel, with the per-pair stage/table-format branches hoisted
   /// into template parameters so they resolve at compile time.
   template <Stage S, bool Traditional>
-  void sweep(lat::LatticeNeighborList& lnl, const lat::CellRegion& region,
+  void sweep(lat::LatticeNeighborList& lnl,
              std::vector<std::conditional_t<S == Stage::Rho, double,
                                             util::Vec3>>& out);
 

@@ -61,8 +61,7 @@ bool simd_available();
 /// Block kernels. `out` is the interleaved per-entry staging buffer of the
 /// block (`out[xi * 2 + sub]`), exactly what the result DMA put ships.
 /// Contract: bit-identical per atom regardless of block width or lane
-/// position (lane-independent arithmetic, masked remainder lanes), so the
-/// interior/boundary split reproduces the unsplit sweep exactly.
+/// position (lane-independent arithmetic, masked remainder lanes).
 void simd_rho_block(const BlockArgs& a, const SimdTable& f, double* out);
 void simd_pair_block(const BlockArgs& a, const SimdTable& phi, util::Vec3* out);
 void simd_dens_block(const BlockArgs& a, const SimdTable& f, util::Vec3* out);

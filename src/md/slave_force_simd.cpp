@@ -7,8 +7,8 @@
 //  - Per-atom results are lane-position independent: every lane runs the
 //    identical straight-line op sequence on its own data, remainder groups
 //    use the same full-width ops with only the STORE masked, and skipped
-//    pairs contribute an exact +0.0. Hence interior/boundary splits and any
-//    block width reproduce the unsplit sweep bit for bit.
+//    pairs contribute an exact +0.0. Hence any block width reproduces the
+//    same per-atom result bit for bit.
 //  - Against the scalar kernel the results agree to ~1 ulp (FMA contraction
 //    and vector sqrt are the only differences); the suite checks 1e-12.
 //  - Garbage in masked lanes is harmless by construction: plane tail pads

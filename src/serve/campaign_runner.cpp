@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/scenario.h"
+#include "io/atomic_file.h"
 #include "util/crc32.h"
 #include "util/json.h"
 #include "util/timer.h"
@@ -41,40 +42,44 @@ telemetry::MetricsRegistry::Aggregate namespaced(
   return out;
 }
 
-/// Atomic drop of the per-job completion marker: a marker either exists with
-/// full content or not at all (write tmp, close, rename), so a kill between
-/// jobs can never leave a half-truth behind for the resume pass.
+/// Result fields every completion marker carries after its job.* header.
+constexpr const char* kMarkerKeys[] = {
+    "wall_seconds", "vacancies_crc", "kmc_events", "vacancies", "mc_time",
+    "vacancy_concentration", "md_seconds", "kmc_seconds"};
+
+/// Atomic, durable drop of the per-job completion marker
+/// (io::write_file_atomic): after a crash the marker either exists with full
+/// content or not at all, so a resume pass never trusts a half-truth.
 void write_marker(const fs::path& marker, const JobResult& r) {
-  const fs::path tmp = marker.string() + ".tmp";
-  {
-    std::ofstream os(tmp);
-    if (!os) {
-      throw std::runtime_error("cannot write job marker " + tmp.string());
-    }
-    os.precision(17);
-    os << "job.id = " << r.id << '\n'
-       << "job.label = " << r.label << '\n'
-       << "job.priority = " << r.priority << '\n'
-       << "wall_seconds = " << r.wall_seconds << '\n'
-       << "vacancies_crc = " << r.vacancies_crc << '\n'
-       << "kmc_events = " << r.kmc_events << '\n'
-       << "vacancies = " << r.vacancies << '\n'
-       << "mc_time = " << r.mc_time << '\n'
-       << "vacancy_concentration = " << r.vacancy_concentration << '\n'
-       << "md_seconds = " << r.md_seconds << '\n'
-       << "kmc_seconds = " << r.kmc_seconds << '\n';
-    if (!os.flush()) {
-      throw std::runtime_error("cannot write job marker " + tmp.string());
-    }
+  std::ostringstream os;
+  os.precision(17);
+  os << "job.id = " << r.id << '\n'
+     << "job.label = " << r.label << '\n'
+     << "job.priority = " << r.priority << '\n'
+     << "wall_seconds = " << r.wall_seconds << '\n'
+     << "vacancies_crc = " << r.vacancies_crc << '\n'
+     << "kmc_events = " << r.kmc_events << '\n'
+     << "vacancies = " << r.vacancies << '\n'
+     << "mc_time = " << r.mc_time << '\n'
+     << "vacancy_concentration = " << r.vacancy_concentration << '\n'
+     << "md_seconds = " << r.md_seconds << '\n'
+     << "kmc_seconds = " << r.kmc_seconds << '\n';
+  if (!io::write_file_atomic(marker.string(), os.str())) {
+    throw std::runtime_error("cannot write job marker " + marker.string());
   }
-  fs::rename(tmp, marker);
 }
 
 /// Load a completed job's scalar fields back from its marker. Returns false
-/// (job reruns) when the marker is unreadable or malformed.
-bool load_marker(const fs::path& marker, JobResult& r) {
+/// (job reruns) when the marker is unreadable, names another job, or lacks
+/// any result field — an empty or truncated marker is not a finished job.
+bool load_marker(const fs::path& marker, const std::string& job_id,
+                 JobResult& r) {
   try {
     const auto kv = util::KeyValueConfig::parse_file(marker.string());
+    if (kv.get_string("job.id", "") != job_id) return false;
+    for (const char* key : kMarkerKeys) {
+      if (!kv.has(key)) return false;
+    }
     r.wall_seconds = kv.get_double("wall_seconds", 0.0);
     r.vacancies_crc =
         static_cast<std::uint32_t>(kv.get_int("vacancies_crc", 0));
@@ -195,7 +200,7 @@ void CampaignRunner::run_one_job(std::size_t spec_index, ScenarioSpec job,
 
   const fs::path jobdir = fs::path(opt_.root) / job.id;
   const fs::path marker = jobdir / "result.mmd";
-  if (opt_.resume && fs::exists(marker) && load_marker(marker, r)) {
+  if (opt_.resume && fs::exists(marker) && load_marker(marker, job.id, r)) {
     r.skipped = true;
   } else {
     // Jobs see only their own telemetry: this thread (and the rank threads

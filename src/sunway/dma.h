@@ -46,9 +46,9 @@ struct DmaCostModel {
 /// Transfers are executed as immediate memcpys (both "memories" are host
 /// RAM), but every operation is metered: counters feed the table-compaction
 /// benchmarks, and `modeled_time()` applies the alpha-beta model so benches
-/// can report Sunway-shaped runtimes. Asynchronous gets/puts complete
-/// immediately; the double-buffer strategy accounts for overlap by combining
-/// `modeled_time()` with its own compute timeline (see md::BlockPipeline).
+/// can report Sunway-shaped runtimes. The double-buffer strategy accounts for
+/// overlap by combining `modeled_time()` with its own compute timeline (see
+/// md::SlaveForceCompute::modeled_time).
 class DmaEngine {
  public:
   explicit DmaEngine(DmaCostModel cost = {}) : cost_(cost) {}
@@ -65,28 +65,6 @@ class DmaEngine {
     std::memcpy(main_dst, local_src, bytes);
     ++stats_.put_ops;
     stats_.put_bytes += bytes;
-  }
-
-  /// Handle for an in-flight asynchronous transfer. In this model transfers
-  /// complete eagerly, so wait() only exists to keep call sites shaped like
-  /// real double-buffered code.
-  class Handle {
-   public:
-    void wait() { done_ = true; }
-    bool done() const { return done_; }
-
-   private:
-    bool done_ = false;
-  };
-
-  Handle get_async(void* local_dst, const void* main_src, std::size_t bytes) {
-    get(local_dst, main_src, bytes);
-    return Handle{};
-  }
-
-  Handle put_async(void* main_dst, const void* local_src, std::size_t bytes) {
-    put(main_dst, local_src, bytes);
-    return Handle{};
   }
 
   /// One strided transfer segment of a batched (descriptor-chained) DMA.

@@ -113,9 +113,7 @@ PerfReport analyze(const Tracer& tracer, const MetricsRegistry& metrics,
         any_master_span = true;
       } else {
         report.cpe_busy_s += dur_s;
-        report.dma_modeled_s +=
-            static_cast<double>(ev.dma_ops) * opt.dma_latency_s +
-            static_cast<double>(ev.dma_bytes) / opt.dma_bandwidth_bytes_per_s;
+        report.dma_modeled_s += opt.dma_cost.cost(ev.dma_ops, ev.dma_bytes);
       }
     }
   }

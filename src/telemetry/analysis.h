@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "sunway/dma.h"
 #include "util/stats.h"
 
 namespace mmd::telemetry {
@@ -23,11 +24,8 @@ class MetricsRegistry;
 class Tracer;
 
 struct AnalysisOptions {
-  /// Modeled DMA cost for the overlap ratio. Defaults mirror
-  /// sw::DmaCostModel (telemetry cannot include sunway headers without a
-  /// dependency cycle — sunway already links telemetry).
-  double dma_latency_s = 0.25e-6;
-  double dma_bandwidth_bytes_per_s = 8e9;
+  /// Modeled DMA cost for the overlap ratio.
+  sw::DmaCostModel dma_cost{};
 };
 
 /// Aggregated view of one span name ("phase") across all ranks of one lane

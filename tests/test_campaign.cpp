@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -145,6 +146,41 @@ TEST(CampaignRunner, ResumeSkipsFinishedJobsAndCompletesTheRest) {
     EXPECT_TRUE(outcome.jobs[0].skipped);
     EXPECT_EQ(outcome.jobs[0].vacancies_crc, first_crcs[0]);
   }
+}
+
+TEST(CampaignRunner, ResumeRerunsJobsWithEmptyOrIncompleteMarkers) {
+  // A marker is trusted only when it names its own job and carries every
+  // result field: an empty result.mmd (e.g. a crash before the data reached
+  // the disk) or one cut short after its header is not a finished job.
+  const std::string root = fresh_dir("badmarker");
+  fs::create_directories(fs::path(root) / "j000");
+  fs::create_directories(fs::path(root) / "j001");
+  { std::ofstream((fs::path(root) / "j000" / "result.mmd").string()); }
+  {
+    std::ofstream os((fs::path(root) / "j001" / "result.mmd").string());
+    os << "job.id = j001\njob.label = x\njob.priority = 0\n";
+  }
+
+  serve::CampaignRunner::Options opt;
+  opt.root = root;
+  opt.resume = true;
+  serve::CampaignRunner runner(quick_spec(), opt);
+  const auto outcome = runner.run();
+  ASSERT_TRUE(outcome.complete);
+  EXPECT_EQ(outcome.skipped, 0);
+  EXPECT_EQ(outcome.completed, 4);
+  ASSERT_EQ(outcome.jobs.size(), 4u);
+  EXPECT_FALSE(outcome.jobs[0].skipped);
+  EXPECT_FALSE(outcome.jobs[1].skipped);
+  const auto spec = quick_spec();
+  core::Simulation standalone(core::scenario_from_kv(spec.jobs[0].config));
+  expect_bit_identical(outcome.jobs[0].report, standalone.run());
+
+  // The rerun rewrote a complete marker, which a second resume trusts.
+  serve::CampaignRunner again(quick_spec(), opt);
+  const auto second = again.run();
+  EXPECT_EQ(second.skipped, 4);
+  EXPECT_EQ(second.jobs[0].vacancies_crc, outcome.jobs[0].vacancies_crc);
 }
 
 TEST(CampaignRunner, ResumePicksUpMidJobCheckpoints) {

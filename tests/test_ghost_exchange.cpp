@@ -258,7 +258,7 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, ReverseAccumulate,
 
 TEST(GhostExchange, BytesSentCountsEveryPath) {
   // bytes_sent() must grow across ALL traffic paths — full exchange,
-  // rho-only refresh (split-phase included), and both reverse accumulations
+  // rho-only refresh, and both reverse accumulations
   // — so the weak-scaling communication split sees the whole volume.
   Fixture fx(8, 4);
   comm::World world(4);
@@ -275,55 +275,18 @@ TEST(GhostExchange, BytesSentCountsEveryPath) {
     const std::uint64_t after_rho = ghosts.bytes_sent();
     EXPECT_GT(after_rho, after_full);
 
-    auto flight = ghosts.begin_exchange_rho(comm);
-    ghosts.finish_exchange_rho(comm, flight);
-    const std::uint64_t after_split_rho = ghosts.bytes_sent();
-    EXPECT_GT(after_split_rho, after_rho);
-    // Split-phase and one-shot rho refreshes move identical volume.
-    EXPECT_EQ(after_split_rho - after_rho, after_rho - after_full);
-
     ghosts.reverse_accumulate_rho(comm);
     const std::uint64_t after_rev_rho = ghosts.bytes_sent();
-    EXPECT_GT(after_rev_rho, after_split_rho);
+    EXPECT_GT(after_rev_rho, after_rho);
 
     ghosts.reverse_accumulate_force(comm);
     const std::uint64_t after_rev_f = ghosts.bytes_sent();
     EXPECT_GT(after_rev_f, after_rev_rho);
     // Force slabs carry Vec3 per entry vs one double for rho: 3x the volume.
-    EXPECT_EQ(after_rev_f - after_rev_rho, 3 * (after_rev_rho - after_split_rho));
+    EXPECT_EQ(after_rev_f - after_rev_rho, 3 * (after_rev_rho - after_rho));
 
     // Re-fill ghosts: reverse accumulation leaves them garbage by contract.
     ghosts.exchange(comm);
-  });
-}
-
-TEST(GhostExchange, SplitRhoMatchesOneShot) {
-  // begin/finish with perturbed owned rho must leave ghosts identical to the
-  // one-shot exchange_rho (the overlap path is physics-identical).
-  Fixture fx(8, 8);
-  comm::World world(8);
-  world.run([&](comm::Comm& comm) {
-    LatticeNeighborList lnl(fx.geo, fx.dd.local_box(comm.rank()), kCut);
-    lnl.fill_perfect(Species::Fe);
-    GhostExchange ghosts(lnl, fx.dd, comm.rank());
-    ghosts.exchange(comm);
-    for (std::size_t idx : lnl.owned_indices()) {
-      AtomEntry& e = lnl.entry(idx);
-      e.rho = 5.0 + 0.25 * static_cast<double>(e.id % 101);
-    }
-    ghosts.exchange_rho(comm);
-    std::vector<double> oneshot(lnl.size());
-    for (std::size_t i = 0; i < lnl.size(); ++i) oneshot[i] = lnl.entry(i).rho;
-    // Scramble ghost rho, then redo via the split-phase path.
-    const LocalBox& b = lnl.box();
-    for (std::size_t i = 0; i < lnl.size(); ++i) {
-      if (!b.owns(b.coord_of(i))) lnl.entry(i).rho = -777.0;
-    }
-    auto flight = ghosts.begin_exchange_rho(comm);
-    ghosts.finish_exchange_rho(comm, flight);
-    for (std::size_t i = 0; i < lnl.size(); ++i) {
-      ASSERT_EQ(lnl.entry(i).rho, oneshot[i]) << "entry " << i;
-    }
   });
 }
 

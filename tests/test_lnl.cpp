@@ -265,54 +265,6 @@ TEST(Lnl, NearestOwnedEntryClamps) {
   EXPECT_FALSE(lnl.is_owned(plain));
 }
 
-TEST(Lnl, InteriorBoundaryPartitionOwned) {
-  // interior + boundary must partition owned_indices() exactly, interior
-  // cells must sit >= halo from every face, and the boundary shell helper
-  // must cover the complement with disjoint regions.
-  BccGeometry g(6, 6, 6, kA);
-  auto lnl = make_lnl(g);
-  const LocalBox& b = lnl.box();
-
-  std::set<std::size_t> in(lnl.owned_interior_indices().begin(),
-                           lnl.owned_interior_indices().end());
-  std::set<std::size_t> bd(lnl.owned_boundary_indices().begin(),
-                           lnl.owned_boundary_indices().end());
-  EXPECT_EQ(in.size() + bd.size(), lnl.owned_indices().size());
-  for (std::size_t i : in) EXPECT_EQ(bd.count(i), 0u);
-
-  const CellRegion interior = interior_region(b, b.halo);
-  for (std::size_t i : lnl.owned_indices()) {
-    const LocalCoord c = b.coord_of(i);
-    EXPECT_EQ(interior.contains(c), in.count(i) == 1) << i;
-  }
-
-  // The shell regions are disjoint and cover exactly the boundary indices.
-  std::vector<CellRegion> shell;
-  boundary_shell(b, b.halo, shell);
-  std::set<std::size_t> covered;
-  for (const CellRegion& r : shell) {
-    for (std::size_t i : lnl.owned_indices()) {
-      if (r.contains(b.coord_of(i))) {
-        EXPECT_TRUE(covered.insert(i).second) << "region overlap at " << i;
-      }
-    }
-  }
-  EXPECT_EQ(covered, bd);
-}
-
-TEST(Lnl, InteriorEmptyWhenBoxThin) {
-  // A 3-cell box with halo 2 has no cell >= 2 from both faces on any axis:
-  // everything is boundary, and the shell collapses to the full owned box.
-  BccGeometry g(3, 3, 3, kA);
-  auto lnl = make_lnl(g);
-  EXPECT_TRUE(lnl.owned_interior_indices().empty());
-  EXPECT_EQ(lnl.owned_boundary_indices().size(), lnl.owned_indices().size());
-  std::vector<CellRegion> shell;
-  boundary_shell(lnl.box(), lnl.box().halo, shell);
-  ASSERT_EQ(shell.size(), 1u);
-  EXPECT_EQ(shell[0].cells(), 27u);
-}
-
 TEST(Lnl, MemoryBytesGrowsWithBox) {
   BccGeometry g4(4, 4, 4, kA);
   BccGeometry g8(8, 8, 8, kA);

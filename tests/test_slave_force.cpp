@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "md/engine.h"
@@ -289,77 +291,6 @@ TEST(SlaveForce, FusedStaysResidentWhenBothTablesFit) {
   EXPECT_EQ(fallbacks, 0u);
 }
 
-/// The overlap split (interior while the rho exchange is notionally in
-/// flight, boundary after) must reproduce the unsplit compute_forces
-/// bit-for-bit: same window walk order per entry, scatter is assignment.
-/// Ghost rho is POISONED during the interior phase to prove the interior
-/// sweep reads no ghost state.
-void compare_split_forces(bool fused, bool with_runaways) {
-  MdConfig cfg = accel_config();
-  Rig rig(cfg);
-  comm::World world(1);
-  world.run([&](comm::Comm& comm) {
-    MdEngine engine(cfg, rig.setup.geo, rig.setup.dd, rig.tables, comm.rank());
-    engine.initialize(comm);
-    engine.run(comm, 5);
-    auto& lnl = engine.lattice();
-    if (with_runaways) {
-      const std::size_t idx = lnl.box().entry_index({3, 3, 3, 0});
-      lnl.entry(idx).r += util::Vec3{0.4, 0.2, 0.1};
-      lnl.detach(idx);
-    }
-    lat::GhostExchange ghosts(lnl, rig.setup.dd, comm.rank());
-    ghosts.exchange(comm);
-    ASSERT_FALSE(lnl.owned_interior_indices().empty());
-
-    sw::SlaveCorePool pool(8);
-    SlaveForceCompute slave(rig.tables, pool, AccelStrategy::CompactedReuse);
-    slave.set_fused(fused);
-
-    // Unsplit pass.
-    slave.compute_rho(lnl);
-    ghosts.exchange_rho(comm);
-    slave.compute_forces(lnl);
-    std::vector<util::Vec3> f_full(lnl.size());
-    for (std::size_t i : lnl.owned_indices()) f_full[i] = lnl.entry(i).f;
-    std::vector<util::Vec3> fr_full;
-    lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
-      fr_full.push_back(lnl.runaway(ri).f);
-    });
-
-    // Split pass: poison ghost rho before the interior sweep.
-    slave.compute_rho(lnl);
-    const lat::LocalBox& b = lnl.box();
-    for (std::size_t i = 0; i < lnl.size(); ++i) {
-      if (!b.owns(b.coord_of(i))) lnl.entry(i).rho = 1e300;
-    }
-    slave.compute_forces_interior(lnl);
-    ghosts.exchange_rho(comm);
-    slave.compute_forces_boundary(lnl);
-
-    for (std::size_t i : lnl.owned_indices()) {
-      ASSERT_EQ(lnl.entry(i).f, f_full[i]) << "entry " << i;
-    }
-    std::size_t k = 0;
-    lnl.for_each_owned_runaway([&](std::int32_t ri, std::size_t) {
-      ASSERT_EQ(lnl.runaway(ri).f, fr_full[k++]);
-    });
-    EXPECT_EQ(k, fr_full.size());
-  });
-}
-
-TEST(SlaveForce, SplitFusedMatchesUnsplitBitwise) {
-  compare_split_forces(/*fused=*/true, /*with_runaways=*/false);
-}
-
-TEST(SlaveForce, SplitTwoPassMatchesUnsplitBitwise) {
-  compare_split_forces(/*fused=*/false, /*with_runaways=*/false);
-}
-
-TEST(SlaveForce, SplitWithRunawaysMatchesUnsplitBitwise) {
-  compare_split_forces(/*fused=*/true, /*with_runaways=*/true);
-}
-
 TEST(SlaveForce, CompactedUsesFarFewerDmaOps) {
   // The whole point of table compaction (paper Fig. 9): per-lookup row DMAs
   // vanish once the compact table is resident. Measured on the two-pass
@@ -462,33 +393,48 @@ TEST(SlaveForce, RejectsAlloyTables) {
 }
 
 TEST(SlaveForce, EngineIntegrationProducesSameTrajectory) {
-  const MdConfig cfg = accel_config();
-  Rig rig(cfg);
-
-  auto run_with = [&](SlaveForceCompute* kernel) {
-    std::vector<util::Vec3> pos;
-    comm::World world(1);
-    world.run([&](comm::Comm& comm) {
-      MdEngine engine(cfg, rig.setup.geo, rig.setup.dd, rig.tables, comm.rank());
-      engine.use_slave_kernel(kernel);
-      engine.initialize(comm);
-      engine.run(comm, 5);
-      auto& lnl = engine.lattice();
-      for (std::size_t i : lnl.owned_indices()) pos.push_back(lnl.entry(i).r);
-    });
-    return pos;
-  };
-
-  const auto ref = run_with(nullptr);
+  // The engine runs one force schedule at every rank count; the slave
+  // kernel must track the reference path through it at 1, 2 and 4 ranks.
+  // Every rank gets its own kernel on one shared pool, as in Simulation.
+  MdConfig cfg = accel_config();
+  cfg.nx = cfg.ny = cfg.nz = 8;  // divides 4 ways with a full halo each
+  const auto tables = pot::EamTableSet::build(
+      pot::EamModel::iron(cfg.lattice_constant, cfg.cutoff), cfg.table_segments);
   sw::SlaveCorePool pool(8);
-  SlaveForceCompute slave(rig.tables, pool, AccelStrategy::CompactedReuse);
-  const auto acc = run_with(&slave);
-  ASSERT_EQ(ref.size(), acc.size());
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    max_err = std::max(max_err, (ref[i] - acc[i]).norm());
+
+  for (const int ranks : {1, 2, 4}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    const MdSetup setup(cfg, ranks);
+
+    auto run_with = [&](bool use_slave) {
+      std::vector<util::Vec3> pos(static_cast<std::size_t>(setup.geo.num_sites()));
+      std::mutex m;
+      comm::World world(ranks);
+      world.run([&](comm::Comm& comm) {
+        MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
+        SlaveForceCompute slave(tables, pool, AccelStrategy::CompactedReuse);
+        if (use_slave) engine.use_slave_kernel(&slave);
+        engine.initialize(comm);
+        engine.run(comm, 5);
+        auto& lnl = engine.lattice();
+        std::lock_guard lk(m);
+        for (std::size_t i : lnl.owned_indices()) {
+          const lat::AtomEntry& e = lnl.entry(i);
+          if (e.is_atom()) pos[static_cast<std::size_t>(e.id)] = e.r;
+        }
+      });
+      return pos;
+    };
+
+    const auto ref = run_with(false);
+    const auto acc = run_with(true);
+    ASSERT_EQ(ref.size(), acc.size());
+    double max_err = 0.0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      max_err = std::max(max_err, (ref[i] - acc[i]).norm());
+    }
+    EXPECT_LT(max_err, 1e-8);
   }
-  EXPECT_LT(max_err, 1e-8);
 }
 
 TEST(SlaveForce, ModeledTimeOverlapsOnlyWithDoubleBuffer) {

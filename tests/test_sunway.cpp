@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "sunway/core_group.h"
 #include "sunway/dma.h"
 #include "sunway/local_store.h"
 #include "sunway/slave_pool.h"
@@ -143,15 +142,6 @@ TEST(Dma, ModeledTimeFollowsCostModel) {
   dma.reset_stats();
   EXPECT_EQ(dma.stats().total_ops(), 0u);
   EXPECT_DOUBLE_EQ(dma.modeled_time(), 0.0);
-}
-
-TEST(Dma, AsyncCompletesEagerly) {
-  DmaEngine dma;
-  double a = 1.0, b = 0.0;
-  auto h = dma.get_async(&b, &a, sizeof(double));
-  EXPECT_DOUBLE_EQ(b, 1.0);
-  h.wait();
-  EXPECT_TRUE(h.done());
 }
 
 TEST(SlavePool, RunsEveryCore) {
@@ -324,12 +314,6 @@ TEST(SlavePool, ActivityCountsEpochsAndResets) {
   act = pool.activity();
   EXPECT_EQ(act.epochs, 0u);
   EXPECT_DOUBLE_EQ(act.busy_seconds, 0.0);
-}
-
-TEST(CoreGroup, DefaultShapeIsSunway) {
-  CoreGroup cg;
-  EXPECT_EQ(cg.slaves().size(), 64u);
-  EXPECT_EQ(cg.config().local_store_bytes, 64u * 1024u);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(TelemetryAnalysis, CpeOverlapRatioFromDmaModel) {
 
   // Custom model: 10x slower link doubles-and-more the modeled time.
   AnalysisOptions opt;
-  opt.dma_bandwidth_bytes_per_s = 8e8;
+  opt.dma_cost.bandwidth_bytes_per_s = 8e8;
   const PerfReport slow = analyze(tracer, metrics, opt);
   EXPECT_NEAR(slow.dma_modeled_s, 1.025e-2, 1e-9);
 }
