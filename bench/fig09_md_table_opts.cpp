@@ -17,7 +17,6 @@
 #include "harness.h"
 #include "md/engine.h"
 #include "md/slave_force.h"
-#include "perf/scaling_model.h"
 #include "util/stats.h"
 #include "util/timer.h"
 
@@ -138,7 +137,6 @@ int main() {
     std::printf(" %23s", md::to_string(s).substr(0, 23).c_str());
   }
   std::printf("\n");
-  perf::ScalingModel model;
   const double atoms_per_group_ref =
       static_cast<double>(setup.geo.num_sites());
   for (const std::uint64_t cores : {65u, 130u, 260u, 520u, 1040u}) {

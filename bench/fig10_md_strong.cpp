@@ -3,14 +3,13 @@
 // parallel efficiency), degrading gradually from communication overhead.
 //
 // Live runs at 1..8 in-process ranks on a fixed box supply the measured
-// per-rank compute rate and ghost traffic; the alpha-beta scaling model
-// projects the per-step time across the paper's core counts.
+// per-rank compute rate and counted traffic; the 1-rank run's profile is
+// projected across the paper's core counts on the platform model.
 
 #include <mutex>
 
 #include "bench_common.h"
 #include "md/engine.h"
-#include "perf/scaling_model.h"
 #include "util/timer.h"
 
 using namespace mmd;
@@ -33,23 +32,24 @@ int main() {
               "compute [ms]", "comm [ms]", "speedup");
 
   double base_time = 0.0;
-  perf::StepProfile base_profile;
+  perf::TraceStats profile;
   for (const int nranks : {1, 2, 4, 8}) {
     const md::MdSetup setup(cfg, nranks);
     double step_ms = 0.0, comp_ms = 0.0, comm_ms = 0.0;
-    std::uint64_t bytes = 0;
+    comm::RankTraffic traffic;
     std::mutex m;
     comm::World world(nranks);
     world.run([&](comm::Comm& comm) {
       md::MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
       engine.initialize(comm);
+      const comm::RankTraffic before = comm.my_traffic();
       util::Timer t;
       engine.run(comm, steps);
       const double wall = comm.allreduce_max(t.elapsed());
       const double comp = comm.allreduce_max(engine.computation_seconds());
       const double cms = comm.allreduce_max(engine.communication_seconds());
       std::lock_guard lk(m);
-      bytes = std::max(bytes, comm.my_traffic().p2p_bytes_sent);
+      traffic += bench::traffic_since(before, comm.my_traffic());
       if (comm.rank() == 0) {
         step_ms = 1e3 * wall / steps;
         comp_ms = 1e3 * comp / steps;
@@ -58,59 +58,15 @@ int main() {
     });
     if (nranks == 1) {
       base_time = step_ms;
-      base_profile.compute_s = comp_ms / 1e3;
-      base_profile.p2p_msgs = 6 * 3;  // 3-phase, 2 sides, entries+chains+emigrants
-      base_profile.p2p_bytes = bytes / steps;
-      base_profile.collectives = 0;
+      profile = bench::traffic_profile(traffic, nranks, steps,
+                                       2.0 * cfg.nx * cfg.ny * cfg.nz,
+                                       comp_ms / 1e3);
     }
     std::printf("  %8d %14.2f %14.2f %14.2f %12.2fx\n", nranks, step_ms, comp_ms,
                 comm_ms, base_time / step_ms);
   }
 
-  std::printf("\n  Projection to the paper's core counts (3.2e10 atoms):\n");
-  std::printf("  %12s %12s %12s %14s %20s\n", "cores", "speedup", "ideal",
-              "efficiency", "paper");
-  perf::ScalingModel model;
-  const std::uint64_t base_cores = 97500;
-  const std::uint64_t base_ranks = perf::ranks_from_cores(base_cores);
-  // Normalize the measured ghost traffic to a 97.5k-core subdomain of
-  // 3.2e10 atoms (surface scaling).
-  const double atoms_per_rank_paper = 3.2e10 / static_cast<double>(base_ranks);
-  const double atoms_measured = 2.0 * cfg.nx * cfg.ny * cfg.nz;
-  perf::StepProfile paper_base = base_profile;
-  paper_base.p2p_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(paper_base.p2p_bytes) *
-      std::pow(atoms_per_rank_paper / atoms_measured, 2.0 / 3.0));
-
-  const struct { std::uint64_t cores; double paper_speedup; } paper_rows[] = {
-      {97500, 1.0},   {195000, 1.96}, {390000, 3.8},  {780000, 7.2},
-      {1560000, 12.8}, {3120000, 19.5}, {6240000, 26.4}};
-  // Per-point modeled communication time from our counted volumes.
-  double m[std::size(paper_rows)];
-  for (std::size_t i = 0; i < std::size(paper_rows); ++i) {
-    const double factor = static_cast<double>(paper_rows[i].cores) / base_cores;
-    const auto scaled = model.strong_scale(paper_base, factor);
-    const auto ranks = perf::ranks_from_cores(paper_rows[i].cores);
-    m[i] = model.network().p2p_time(scaled.p2p_msgs, scaled.p2p_bytes, ranks) +
-           model.network().collective_time(ranks);  // adaptive-dt allreduce
-  }
-  // Calibrate the one unknown — the real machine's per-rank compute time —
-  // against the paper's reported END point (26.4x at 64x cores); every other
-  // row is a prediction of this reproduction's communication model.
-  const double C = perf::ScalingModel::calibrate_strong_compute(
-      m[0], m[std::size(paper_rows) - 1], 64.0, 26.4);
-  for (std::size_t i = 0; i < std::size(paper_rows); ++i) {
-    const auto& row = paper_rows[i];
-    const double factor = static_cast<double>(row.cores) / base_cores;
-    const double speedup = (C + m[0]) / (C / factor + m[i]);
-    std::printf("  %12s %11.1fx %11.0fx %13.1f%% %17.1fx\n",
-                bench::cores_str(row.cores).c_str(), speedup, factor,
-                100.0 * perf::ScalingModel::strong_efficiency(speedup, factor),
-                row.paper_speedup);
-  }
-  std::printf("\n  Calibration: the testbed's per-rank compute time (C = %.3f s/step)\n"
-              "  is fitted to the paper's final point; intermediate rows follow\n"
-              "  from this code's measured ghost volumes + the network model.\n", C);
+  bench::project_and_print(perf::Curve::kMdStrong, profile);
   std::printf("\n  Shape check vs paper Fig. 10: near-ideal at small scale,\n"
               "  efficiency decaying toward ~40%% at 64x cores as ghost exchange\n"
               "  and contention dominate the shrinking subdomains.\n");

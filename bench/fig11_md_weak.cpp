@@ -3,12 +3,13 @@
 // slowly; 85% parallel efficiency at 4e12 atoms on 6.656M cores.
 //
 // Live runs keep the per-rank box fixed while the rank count grows; the
-// measured per-rank compute time and ghost traffic are projected to the
-// paper's core counts with the alpha-beta + contention model.
+// 8-rank run's counted per-rank traffic is projected to the paper's core
+// counts on the platform model.
+
+#include <mutex>
 
 #include "bench_common.h"
 #include "md/engine.h"
-#include "perf/scaling_model.h"
 #include "util/timer.h"
 
 using namespace mmd;
@@ -32,7 +33,7 @@ int main() {
               "compute [ms]", "comm [ms]", "efficiency");
 
   double base_time = 0.0;
-  perf::StepProfile profile;
+  perf::TraceStats profile;
   for (const int nranks : {1, 2, 4, 8}) {
     md::MdConfig cfg = base_cfg;
     // Grow the box so each rank keeps the same subdomain.
@@ -41,72 +42,38 @@ int main() {
     cfg.nz = per_rank_cells * (nranks >= 8 ? 2 : 1);
     const md::MdSetup setup(cfg, nranks);
     double step_ms = 0.0, comp_ms = 0.0, comm_ms = 0.0;
-    std::uint64_t bytes = 0;
+    comm::RankTraffic traffic;
+    std::mutex m;
     comm::World world(nranks);
     world.run([&](comm::Comm& comm) {
       md::MdEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank());
       engine.initialize(comm);
+      const comm::RankTraffic before = comm.my_traffic();
       util::Timer t;
       engine.run(comm, steps);
       const double wall = comm.allreduce_max(t.elapsed());
       const double comp = comm.allreduce_max(engine.computation_seconds());
       const double cms = comm.allreduce_max(engine.communication_seconds());
+      std::lock_guard lk(m);
+      traffic += bench::traffic_since(before, comm.my_traffic());
       if (comm.rank() == 0) {
         step_ms = 1e3 * wall / steps;
         comp_ms = 1e3 * comp / steps;
         comm_ms = 1e3 * cms / steps;
-        bytes = comm.my_traffic().p2p_bytes_sent / steps;
       }
     });
     if (nranks == 1) base_time = step_ms;
     if (nranks == 8) {
-      profile.compute_s = comp_ms / 1e3;
-      profile.p2p_msgs = 18;
-      profile.p2p_bytes = bytes;
-      profile.collectives = 0;
+      profile = bench::traffic_profile(
+          traffic, nranks, steps,
+          2.0 * per_rank_cells * per_rank_cells * per_rank_cells,
+          comp_ms / 1e3);
     }
     std::printf("  %8d %14.2f %14.2f %14.2f %11.1f%%\n", nranks, step_ms, comp_ms,
                 comm_ms, 100.0 * base_time / step_ms);
   }
 
-  // Scale the per-rank profile to the paper's 3.9e7 atoms per core group.
-  const double atoms_measured = 2.0 * per_rank_cells * per_rank_cells * per_rank_cells;
-  perf::StepProfile paper = profile;
-  paper.compute_s *= 3.9e7 / atoms_measured;
-  paper.p2p_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(paper.p2p_bytes) *
-      std::pow(3.9e7 / atoms_measured, 2.0 / 3.0));
-  paper.collectives = 0;
-
-  std::printf("\n  Projection to the paper's core counts (weak scaling):\n");
-  std::printf("  %12s %14s %14s %14s %12s %10s\n", "cores", "atoms", "compute [s]",
-              "comm [ms]", "efficiency", "paper");
-  perf::ScalingModel model;
-  const struct { std::uint64_t cores; double paper_eff; } rows[] = {
-      {104000, 0.801},  {208000, 0.867},  {416000, 0.951},
-      {832000, 0.907},  {1664000, 0.884}, {6656000, 0.85}};
-  // Modeled per-step communication time at every point (per-rank traffic is
-  // fixed under weak scaling; contention and the adaptive-dt allreduce grow).
-  double m[std::size(rows)];
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    const auto ranks = perf::ranks_from_cores(rows[i].cores);
-    m[i] = model.network().p2p_time(paper.p2p_msgs, paper.p2p_bytes, ranks) +
-           model.network().collective_time(ranks);
-  }
-  // Calibrate the testbed compute time to the paper's final efficiency; the
-  // intermediate rows then follow from our communication model.
-  const double C = perf::ScalingModel::calibrate_weak_compute(
-      m[0], m[std::size(rows) - 1], 0.85);
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    const auto& row = rows[i];
-    const double atoms = 3.9e7 / 65.0 * static_cast<double>(row.cores);
-    std::printf("  %12s %14.3g %14.4f %14.4f %11.1f%% %9.1f%%\n",
-                bench::cores_str(row.cores).c_str(), atoms, C, 1e3 * m[i],
-                100.0 * (C + m[0]) / (C + m[i]), 100.0 * row.paper_eff);
-  }
-  std::printf("\n  Calibration: compute/step C fitted to the paper's 85%% end\n"
-              "  point; the efficiency decay across rows comes from this code's\n"
-              "  measured ghost traffic plus modeled contention.\n");
+  bench::project_and_print(perf::Curve::kMdWeak, profile);
   std::printf("\n  Shape check vs paper Fig. 11: computation flat across core\n"
               "  counts; communication creeps up with contention; efficiency\n"
               "  stays in the 80-95%% band out to 6.656M cores / 4e12 atoms.\n");

@@ -3,15 +3,16 @@
 // communication time on average.
 //
 // Live runs provide measured in-process communication seconds AND per-cycle
-// message/byte counts; the alpha-beta network model converts the counts into
-// modeled times at the paper's core counts.
+// message/byte counts; the platform model prices both strategies' counts as
+// one communication round each at the paper's core counts.
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
 
 #include "bench_common.h"
 #include "harness.h"
 #include "kmc/engine.h"
-#include "perf/scaling_model.h"
 #include "util/stats.h"
 
 using namespace mmd;
@@ -102,9 +103,11 @@ int main() {
   // Project per-rank, per-cycle comm cost at the paper's scale: 1.6e7 sites
   // over `cores` master cores (1 rank each). Traditional shell volume scales
   // with the subdomain surface; on-demand volume with the vacancies per rank.
-  perf::ScalingModel model;
+  const perf::PlatformConfig platform = perf::PlatformConfig::taihulight();
+  const perf::LogGpModel host;
   std::printf("\n  Modeled communication time per cycle at the paper's scale\n");
-  std::printf("  (live traffic rescaled to 1.6e7 sites, alpha-beta network):\n");
+  std::printf("  (live traffic rescaled to 1.6e7 sites, %s platform model):\n",
+              platform.name.c_str());
   std::printf("  %8s %18s %18s %10s %10s\n", "cores", "traditional [us]",
               "on-demand [us]", "speedup", "paper");
   std::vector<double> speedups;
@@ -116,28 +119,27 @@ int main() {
     const double sites_per_rank = 1.6e7 / static_cast<double>(cores);
     const double surf = std::pow(sites_per_rank / sites_per_rank_live, 2.0 / 3.0);
     const double vol = sites_per_rank / sites_per_rank_live;
-    const double per_rank_msgs_t =
-        static_cast<double>(trad.traffic.messages_sent) / nranks / cycles;
-    const double per_rank_bytes_t =
+    perf::RoundTraffic t_trad;
+    t_trad.sends = static_cast<double>(trad.traffic.messages_sent) / nranks / cycles;
+    t_trad.bytes =
         static_cast<double>(trad.traffic.bytes_sent) / nranks / cycles * surf;
-    const double per_rank_msgs_o = std::max(
+    perf::RoundTraffic t_od;
+    t_od.sends = std::max(
         1.0, static_cast<double>(ondemand.traffic.messages_sent) / nranks / cycles);
-    const double per_rank_bytes_o =
+    t_od.bytes =
         static_cast<double>(ondemand.traffic.bytes_sent) / nranks / cycles * vol;
-    const double t_trad = model.network().p2p_time(
-        static_cast<std::uint64_t>(per_rank_msgs_t),
-        static_cast<std::uint64_t>(per_rank_bytes_t), ranks);
-    const double t_od = model.network().p2p_time(
-        static_cast<std::uint64_t>(per_rank_msgs_o),
-        static_cast<std::uint64_t>(per_rank_bytes_o), ranks) +
-        model.network().collective_time(ranks);  // the one-sided fence
-    speedups.push_back(t_trad / t_od);
+    t_od.collectives = 1.0;  // the one-sided fence
+    const double t_trad_s = perf::price_round(platform, ranks, t_trad, host,
+                                              /*contention=*/true).comm_s;
+    const double t_od_s = perf::price_round(platform, ranks, t_od, host,
+                                            /*contention=*/true).comm_s;
+    speedups.push_back(t_trad_s / t_od_s);
     core_series.push_back(static_cast<double>(cores));
-    trad_us.push_back(1e6 * t_trad);
-    ondemand_us.push_back(1e6 * t_od);
+    trad_us.push_back(1e6 * t_trad_s);
+    ondemand_us.push_back(1e6 * t_od_s);
     std::printf("  %8s %18.2f %18.2f %9.1fx %9s\n",
-                bench::cores_str(cores).c_str(), 1e6 * t_trad, 1e6 * t_od,
-                t_trad / t_od, "21x");
+                bench::cores_str(cores).c_str(), 1e6 * t_trad_s, 1e6 * t_od_s,
+                t_trad_s / t_od_s, "21x");
   }
   std::printf("\n");
   bool write_failed = false;

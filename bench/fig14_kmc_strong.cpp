@@ -3,13 +3,15 @@
 // super-linear region between 3k and 12k cores where the per-core dataset
 // starts fitting in the master core's L2 cache.
 //
-// Live runs at 1..8 ranks on a fixed box give the compute rate and traffic;
-// the scaling model projects to the paper's range, applying a cache boost in
-// the band where the per-rank working set crosses the 256 KB L2.
+// Live runs at 1..8 ranks on a fixed box give the compute rate and counted
+// traffic; the 8-rank profile (a single rank sends nothing) is projected to
+// the paper's range on the platform model, with the cache boost of the rows
+// whose per-core site array fits the master core's caches.
+
+#include <mutex>
 
 #include "bench_common.h"
 #include "kmc/engine.h"
-#include "perf/scaling_model.h"
 #include "util/timer.h"
 
 using namespace mmd;
@@ -32,87 +34,40 @@ int main() {
   std::printf("  %8s %16s %16s %12s\n", "ranks", "cycle [ms]", "compute [ms]",
               "speedup");
   double base_ms = 0.0;
-  perf::StepProfile profile;
+  perf::TraceStats profile;
   for (const int nranks : {1, 2, 4, 8}) {
     const kmc::KmcSetup setup(cfg, nranks);
     double cyc_ms = 0.0, comp_ms = 0.0;
-    std::uint64_t bytes = 0, msgs = 0;
+    comm::RankTraffic traffic;
+    std::mutex m;
     comm::World world(nranks);
     world.run([&](comm::Comm& comm) {
       kmc::KmcEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank(),
                             kmc::GhostStrategy::OnDemandOneSided);
       engine.initialize_random(comm, conc);
+      const comm::RankTraffic before = comm.my_traffic();
       util::Timer t;
       engine.run_cycles(comm, cycles);
       const double wall = comm.allreduce_max(t.elapsed());
       const double comp = comm.allreduce_max(engine.computation_seconds());
+      std::lock_guard lk(m);
+      traffic += bench::traffic_since(before, comm.my_traffic());
       if (comm.rank() == 0) {
         cyc_ms = 1e3 * wall / cycles;
         comp_ms = 1e3 * comp / cycles;
-        bytes = engine.ghost_comm().traffic().bytes_sent / cycles;
-        msgs = std::max<std::uint64_t>(
-            1, engine.ghost_comm().traffic().messages_sent / cycles);
       }
     });
-    if (nranks == 1) {
-      base_ms = cyc_ms;
-      profile.compute_s = comp_ms / 1e3;
-      profile.p2p_bytes = bytes;
-      profile.p2p_msgs = msgs;
-      profile.collectives = 9;  // dt sync + 8 sector fences
+    if (nranks == 1) base_ms = cyc_ms;
+    if (nranks == 8) {
+      profile = bench::traffic_profile(traffic, nranks, cycles,
+                                       2.0 * cfg.nx * cfg.ny * cfg.nz / nranks,
+                                       comp_ms / 1e3);
     }
     std::printf("  %8d %16.2f %16.2f %12.2fx\n", nranks, cyc_ms, comp_ms,
                 base_ms / cyc_ms);
   }
 
-  // Paper projection: base = 1500 master cores, 3.2e10 sites.
-  std::printf("\n  Projection to the paper's core counts:\n");
-  std::printf("  %8s %12s %10s %14s %12s %10s\n", "cores", "speedup", "ideal",
-              "efficiency", "sites/core", "paper");
-  perf::ScalingModel model;
-  const std::uint64_t base_cores = 1500;
-  const double sites_measured = 2.0 * cfg.nx * cfg.ny * cfg.nz;
-  perf::StepProfile base = profile;
-  base.p2p_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(base.p2p_bytes) *
-      std::pow(3.2e10 / base_cores / sites_measured, 2.0 / 3.0));
-  const struct { std::uint64_t cores; double paper; } rows[] = {
-      {1500, 1.0}, {3000, 1.9}, {6000, 4.1}, {12000, 8.6},
-      {24000, 13.5}, {48000, 18.5}};
-  // L2 cache boost in the band where the per-core site array (1 B/site)
-  // approaches the master core's caches (paper's super-linear region).
-  auto boost_of = [](double sites_per_core) {
-    if (sites_per_core <= 2.5e5) return 1.6;    // fully L2-resident
-    if (sites_per_core < 8.0e6) return 1.25;    // partially cached
-    return 1.0;
-  };
-  double m[std::size(rows)], boost[std::size(rows)];
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    const double factor = static_cast<double>(rows[i].cores) / base_cores;
-    const auto scaled = model.strong_scale(base, factor);
-    m[i] = model.network().p2p_time(scaled.p2p_msgs, scaled.p2p_bytes,
-                                    rows[i].cores) +
-           static_cast<double>(base.collectives) *
-               model.network().collective_time(rows[i].cores);
-    boost[i] = boost_of(3.2e10 / static_cast<double>(rows[i].cores));
-  }
-  // Calibrate the unknown per-core compute time to the paper's end point
-  // (18.5x at 32x cores); intermediate rows follow from our model.
-  const double C = perf::ScalingModel::calibrate_strong_compute(
-      m[0], m[std::size(rows) - 1], 32.0, 18.5, boost[std::size(rows) - 1]);
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    const auto& row = rows[i];
-    const double factor = static_cast<double>(row.cores) / base_cores;
-    const double speedup =
-        (C / boost[0] + m[0]) / (C / (factor * boost[i]) + m[i]);
-    std::printf("  %8s %11.1fx %9.0fx %13.1f%% %12.3g %9.1fx\n",
-                bench::cores_str(row.cores).c_str(), speedup, factor,
-                100.0 * perf::ScalingModel::strong_efficiency(speedup, factor),
-                3.2e10 / static_cast<double>(row.cores), row.paper);
-  }
-  std::printf("\n  Calibration: per-core compute time fitted to the paper's\n"
-              "  final point; the cache-boost band reproduces the super-linear\n"
-              "  region the paper attributes to the master core's L2.\n");
+  bench::project_and_print(perf::Curve::kKmcStrong, profile);
   std::printf("\n  Shape check vs paper Fig. 14: super-linear stretch while the\n"
               "  dataset shrinks into cache, then communication-bound decay to\n"
               "  ~58%% efficiency at 48k cores.\n");

@@ -3,12 +3,13 @@
 // 75.7% parallel efficiency at 390k / 1.56M / 6.24M cores.
 //
 // The live coupled pipeline (cascade MD -> defect handoff -> KMC) runs at
-// 1..8 ranks with a fixed per-rank box; measured per-rank compute plus
-// counted traffic are projected to the paper's scale.
+// 1..8 ranks with a fixed per-rank box under a telemetry session; the 8-rank
+// run's counted per-rank traffic is projected to the paper's scale on the
+// platform model.
 
 #include "bench_common.h"
 #include "core/simulation.h"
-#include "perf/scaling_model.h"
+#include "telemetry/session.h"
 #include "util/timer.h"
 
 using namespace mmd;
@@ -22,7 +23,7 @@ int main() {
               "MD [s]", "KMC [s]", "comm [s]", "efficiency");
 
   double base_total = 0.0;
-  perf::StepProfile profile;
+  perf::TraceStats profile;
   for (const int nranks : {1, 2, 4, 8}) {
     core::SimulationConfig cfg;
     cfg.md.nx = per_rank_cells * (nranks >= 2 ? 2 : 1);
@@ -37,16 +38,29 @@ int main() {
     cfg.kmc_cycles = 5;
     cfg.nranks = nranks;
 
+    telemetry::Session session(nranks);
     util::Timer t;
     core::Simulation sim(cfg);
     const auto report = sim.run();
     const double total = t.elapsed();
     if (nranks == 1) base_total = total;
     if (nranks == 8) {
-      profile.compute_s = report.md_compute_seconds + report.kmc_compute_seconds;
-      profile.p2p_msgs = 200;
-      profile.p2p_bytes = 1 << 22;
-      profile.collectives = 50 + 9 * cfg.kmc_cycles;
+      // Counters sum over ranks, so MD steps + KMC cycles is the rank-step
+      // count (the step count a recorded comm trace carries).
+      const auto agg = session.metrics().aggregate();
+      comm::RankTraffic traffic;
+      traffic.p2p_msgs_sent = agg.counter("comm.p2p.msgs");
+      traffic.p2p_bytes_sent = agg.counter("comm.p2p.bytes");
+      traffic.onesided_puts = agg.counter("comm.onesided.puts");
+      traffic.onesided_bytes = agg.counter("comm.onesided.bytes");
+      traffic.collectives = agg.counter("comm.collectives");
+      const double steps =
+          static_cast<double>(agg.counter("md.steps") + agg.counter("kmc.cycles")) /
+          nranks;
+      profile = bench::traffic_profile(
+          traffic, nranks, steps,
+          2.0 * per_rank_cells * per_rank_cells * per_rank_cells,
+          (report.md_compute_seconds + report.kmc_compute_seconds) / steps);
     }
     std::printf("  %8d %12.2f %12.2f %12.2f %12.2f %11.1f%%\n", nranks, total,
                 report.md_seconds, report.kmc_seconds,
@@ -54,37 +68,7 @@ int main() {
                 100.0 * base_total / total);
   }
 
-  // Paper projection: atoms/CG fixed at 3.3e5.
-  const double atoms_measured = 2.0 * per_rank_cells * per_rank_cells * per_rank_cells;
-  perf::StepProfile paper = profile;
-  paper.compute_s *= 3.3e5 / atoms_measured;
-  paper.p2p_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(paper.p2p_bytes) * std::pow(3.3e5 / atoms_measured, 2.0 / 3.0));
-
-  std::printf("\n  Projection to the paper's core counts:\n");
-  std::printf("  %10s %14s %14s %12s %10s\n", "cores", "atoms", "comm [ms]",
-              "efficiency", "paper");
-  perf::ScalingModel model;
-  const struct { std::uint64_t cores; double paper_eff; } rows[] = {
-      {97500, 1.0}, {390000, 0.989}, {1560000, 0.774}, {6240000, 0.757}};
-  double m[std::size(rows)];
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    const auto ranks = perf::ranks_from_cores(rows[i].cores);
-    m[i] = model.network().p2p_time(paper.p2p_msgs, paper.p2p_bytes, ranks) +
-           static_cast<double>(paper.collectives) *
-               model.network().collective_time(ranks);
-  }
-  const double C = perf::ScalingModel::calibrate_weak_compute(
-      m[0], m[std::size(rows) - 1], 0.757);
-  for (std::size_t i = 0; i < std::size(rows); ++i) {
-    const auto& row = rows[i];
-    std::printf("  %10s %14.3g %14.4f %11.1f%% %9.1f%%\n",
-                bench::cores_str(row.cores).c_str(),
-                3.3e5 / 65.0 * static_cast<double>(row.cores), 1e3 * m[i],
-                100.0 * (C + m[0]) / (C + m[i]), 100.0 * row.paper_eff);
-  }
-  std::printf("\n  Calibration: per-rank pipeline compute time fitted to the\n"
-              "  paper's 75.7%% end point; intermediate rows are predictions.\n");
+  bench::project_and_print(perf::Curve::kCoupledWeak, profile);
   std::printf("\n  Shape check vs paper Fig. 16: high efficiency that settles\n"
               "  in the ~75%% band at millions of cores — the coupled pipeline\n"
               "  inherits MD's ghost exchange and KMC's synchronization costs.\n");

@@ -133,6 +133,18 @@ class TopologyPlatform {
   double max_latency_s_ = 0.0;
 };
 
+/// TaihuLight core accounting: the paper counts "master+slave cores", i.e.
+/// 65 cores per core group (1 MPE + 64 CPEs), with one MPI rank per group.
+inline constexpr std::uint64_t kCoresPerGroup = 65;
+
+inline std::uint64_t ranks_from_cores(std::uint64_t master_plus_slave_cores) {
+  return master_plus_slave_cores / kCoresPerGroup;
+}
+
+inline std::uint64_t cores_from_ranks(std::uint64_t ranks) {
+  return ranks * kCoresPerGroup;
+}
+
 /// Near-cubic 3D factorization of n (px >= py >= pz, px*py*pz == n),
 /// minimizing surface area — the rank grid the replay projects onto.
 struct Grid3 {

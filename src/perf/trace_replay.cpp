@@ -8,7 +8,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "perf/scaling_model.h"
 #include "telemetry/comm_trace.h"
 #include "util/json.h"
 
@@ -16,90 +15,57 @@ namespace mmd::perf {
 
 namespace {
 
-/// Paper-reported curves (Fig. 12/13 as reproduced by bench/fig11_md_weak and
-/// bench/fig10_md_strong): cores are the paper's master+slave accounting
-/// (65 per rank). The final weak row beyond the paper is the full machine —
-/// 40,960 nodes x 4 core groups — with no reported value to compare against.
-struct PaperRow {
-  std::uint64_t cores;
-  double value;
-};
-
-constexpr PaperRow kWeakRows[] = {
+// Paper-reported curves. Cores follow each figure's own accounting: MD
+// counts master+slave cores (65 per rank), KMC master cores (1 per rank).
+constexpr PaperRow kMdStrongRows[] = {{97500, 1.0},    {195000, 1.96},
+                                      {390000, 3.8},   {780000, 7.2},
+                                      {1560000, 12.8}, {3120000, 19.5},
+                                      {6240000, 26.4}};
+// The final weak row beyond the paper is the full machine — 40,960 nodes x 4
+// core groups — with no reported value to compare against.
+constexpr PaperRow kMdWeakRows[] = {
     {104000, 0.801},  {208000, 0.867}, {416000, 0.951},   {832000, 0.907},
     {1664000, 0.884}, {6656000, 0.85}, {10649600, 0.0}};
-constexpr std::size_t kWeakPaperEnd = 5;  ///< index of the calibration target
+// Fig. 14's super-linear region: once a master core's site array (1 B/site)
+// drops below 8e6 sites it is partly cache-resident and its compute runs
+// 1.25x faster (fully L2-resident, <= 2.5e5 sites, would be 1.6x; no paper
+// row gets there).
+constexpr PaperRow kKmcStrongRows[] = {{1500, 1.0},         {3000, 1.9},
+                                       {6000, 4.1, 1.25},   {12000, 8.6, 1.25},
+                                       {24000, 13.5, 1.25}, {48000, 18.5, 1.25}};
+constexpr PaperRow kKmcWeakRows[] = {{1600, 0.972},  {3200, 0.881},
+                                     {12800, 0.861}, {25600, 0.852},
+                                     {51200, 0.799}, {102400, 0.74}};
+constexpr PaperRow kCoupledWeakRows[] = {
+    {97500, 1.0}, {390000, 0.989}, {1560000, 0.774}, {6240000, 0.757}};
 
-constexpr PaperRow kStrongRows[] = {{97500, 1.0},    {195000, 1.96},
-                                    {390000, 3.8},   {780000, 7.2},
-                                    {1560000, 12.8}, {3120000, 19.5},
-                                    {6240000, 26.4}};
+// Problem sizes: MD strong 3.2e10 atoms; MD weak 4e12 atoms on 102,400
+// ranks; KMC strong 3.2e10 sites; KMC weak 1e7 sites per master core;
+// coupled weak 3.3e5 atoms per core group.
+constexpr PaperCurve kCurves[] = {
+    {.figure = "Fig. 10", .scaling = Scaling::kStrong, .rows = kMdStrongRows,
+     .calibration_row = 6, .cores_per_rank = kCoresPerGroup,
+     .problem_size = 3.2e10},
+    {.figure = "Fig. 11", .scaling = Scaling::kWeak, .rows = kMdWeakRows,
+     .calibration_row = 5, .cores_per_rank = kCoresPerGroup,
+     .problem_size = 4.0e12 / 102400.0},
+    {.figure = "Fig. 14", .scaling = Scaling::kStrong, .rows = kKmcStrongRows,
+     .calibration_row = 5, .cores_per_rank = 1, .problem_size = 3.2e10},
+    {.figure = "Fig. 15", .scaling = Scaling::kWeak, .rows = kKmcWeakRows,
+     .calibration_row = 5, .cores_per_rank = 1, .problem_size = 1.0e7},
+    {.figure = "Fig. 16", .scaling = Scaling::kWeak, .rows = kCoupledWeakRows,
+     .calibration_row = 3, .cores_per_rank = kCoresPerGroup,
+     .problem_size = 3.3e5},
+};
+static_assert(std::size(kCurves) ==
+              static_cast<std::size_t>(Curve::kCoupledWeak) + 1);
 
-/// Paper problem sizes the traffic is rescaled to (surface ~ atoms^(2/3)):
-/// weak runs hold ~3.9e7 atoms per rank (4e12 atoms on 102,400 ranks);
-/// strong runs divide 3.2e10 atoms among the ranks of each row.
-constexpr double kWeakAtomsPerRank = 4.0e12 / 102400.0;
-constexpr double kStrongAtomsTotal = 3.2e10;
+/// LogGP segment bounds of the host-cost fit.
+constexpr std::uint64_t kLogGpBreakpoints[] = {256, 4096, 65536};
 
 double surface_scale(double target_atoms_per_rank, double trace_atoms_per_rank) {
   if (trace_atoms_per_rank <= 0.0 || target_atoms_per_rank <= 0.0) return 1.0;
   return std::pow(target_atoms_per_rank / trace_atoms_per_rank, 2.0 / 3.0);
-}
-
-/// Model one communication round at `nranks`: every rank sends its six face
-/// messages on a near-cubic 3D grid with linear rank→node placement, so x
-/// neighbors are mostly intra-node while y/z neighbors cross node and (at
-/// scale) supernode boundaries — the traffic pattern of the paper's 3D
-/// domain decomposition on TaihuLight.
-struct RoundShape {
-  double bytes_per_neighbor = 0.0;
-  int msgs_per_neighbor = 1;
-  double collectives_per_step = 0.0;
-};
-
-struct RoundResult {
-  double comm_s = 0.0;
-  std::string bottleneck;
-};
-
-RoundResult model_round(const PlatformConfig& platform, std::uint64_t nranks,
-                        const RoundShape& shape, const LogGpModel& host,
-                        bool contention) {
-  TopologyPlatform topo(platform, nranks);
-  const Grid3 g = near_cubic_grid(nranks);
-  const std::uint64_t msg_bytes = static_cast<std::uint64_t>(
-      std::max(1.0, shape.bytes_per_neighbor /
-                        static_cast<double>(shape.msgs_per_neighbor)));
-  const auto wrap = [](std::uint64_t i, std::uint64_t n, std::int64_t d) {
-    return (i + static_cast<std::uint64_t>(static_cast<std::int64_t>(n) + d)) % n;
-  };
-  for (std::uint64_t iz = 0; iz < g.z; ++iz) {
-    for (std::uint64_t iy = 0; iy < g.y; ++iy) {
-      for (std::uint64_t ix = 0; ix < g.x; ++ix) {
-        const std::uint64_t src = ix + g.x * (iy + g.y * iz);
-        const std::uint64_t dsts[6] = {
-            wrap(ix, g.x, 1) + g.x * (iy + g.y * iz),
-            wrap(ix, g.x, -1) + g.x * (iy + g.y * iz),
-            ix + g.x * (wrap(iy, g.y, 1) + g.y * iz),
-            ix + g.x * (wrap(iy, g.y, -1) + g.y * iz),
-            ix + g.x * (iy + g.y * wrap(iz, g.z, 1)),
-            ix + g.x * (iy + g.y * wrap(iz, g.z, -1))};
-        for (const std::uint64_t dst : dsts) {
-          if (dst == src) continue;  // degenerate periodic dim (size 1..2)
-          for (int m = 0; m < shape.msgs_per_neighbor; ++m) {
-            topo.add_message(src, dst, msg_bytes, host);
-          }
-        }
-      }
-    }
-  }
-  const TopologyPlatform::RoundCost rc =
-      contention ? topo.round_cost() : topo.round_cost_no_contention();
-  RoundResult out;
-  out.comm_s = rc.total_s +
-               shape.collectives_per_step * topo.collective_time();
-  out.bottleneck = rc.bottleneck;
-  return out;
 }
 
 void write_points(std::ostream& os, const std::vector<ProjectionPoint>& pts,
@@ -181,6 +147,117 @@ TraceStats summarize_trace(const telemetry::CommTraceData& trace) {
   return st;
 }
 
+std::span<const PaperCurve> paper_curves() { return kCurves; }
+
+const PaperCurve& paper_curve(Curve curve) {
+  return kCurves[static_cast<std::size_t>(curve)];
+}
+
+RoundPrice price_round(const PlatformConfig& platform, std::uint64_t nranks,
+                       const RoundTraffic& traffic, const LogGpModel& host,
+                       bool contention) {
+  TopologyPlatform topo(platform, nranks);
+  const Grid3 g = near_cubic_grid(nranks);
+  const int msgs_per_neighbor = static_cast<int>(
+      std::clamp(std::llround(traffic.sends / 6.0), 1ll, 8ll));
+  const double bytes_per_neighbor = traffic.bytes / 6.0;
+  const std::uint64_t msg_bytes = static_cast<std::uint64_t>(
+      std::max(1.0, bytes_per_neighbor / static_cast<double>(msgs_per_neighbor)));
+  const auto wrap = [](std::uint64_t i, std::uint64_t n, std::int64_t d) {
+    return (i + static_cast<std::uint64_t>(static_cast<std::int64_t>(n) + d)) % n;
+  };
+  for (std::uint64_t iz = 0; iz < g.z; ++iz) {
+    for (std::uint64_t iy = 0; iy < g.y; ++iy) {
+      for (std::uint64_t ix = 0; ix < g.x; ++ix) {
+        const std::uint64_t src = ix + g.x * (iy + g.y * iz);
+        const std::uint64_t dsts[6] = {
+            wrap(ix, g.x, 1) + g.x * (iy + g.y * iz),
+            wrap(ix, g.x, -1) + g.x * (iy + g.y * iz),
+            ix + g.x * (wrap(iy, g.y, 1) + g.y * iz),
+            ix + g.x * (wrap(iy, g.y, -1) + g.y * iz),
+            ix + g.x * (iy + g.y * wrap(iz, g.z, 1)),
+            ix + g.x * (iy + g.y * wrap(iz, g.z, -1))};
+        for (const std::uint64_t dst : dsts) {
+          if (dst == src) continue;  // degenerate periodic dim (size 1..2)
+          for (int m = 0; m < msgs_per_neighbor; ++m) {
+            topo.add_message(src, dst, msg_bytes, host);
+          }
+        }
+      }
+    }
+  }
+  const TopologyPlatform::RoundCost rc =
+      contention ? topo.round_cost() : topo.round_cost_no_contention();
+  RoundPrice out;
+  out.comm_s = rc.total_s + traffic.collectives * topo.collective_time();
+  out.nodes = topo.nnodes();
+  out.bottleneck = rc.bottleneck;
+  return out;
+}
+
+double calibrate_compute(double m_base, double m_end, double target,
+                         double speed_base, double speed_end) {
+  // C (1/speed_base - target/speed_end) = target*m_end - m_base.
+  const double denom = 1.0 / speed_base - target / speed_end;
+  if (denom <= 0.0) return 0.0;
+  return std::max(0.0, (target * m_end - m_base) / denom);
+}
+
+CurveProjection project_curve(const PaperCurve& curve, const TraceStats& profile,
+                              const LogGpModel& host,
+                              const ProjectionOptions& opt) {
+  const bool strong = curve.scaling == Scaling::kStrong;
+  const std::uint64_t base_cores = curve.rows[0].cores;
+  // The paper subdomain at the first row: weak scaling keeps it; strong
+  // scaling divides the fixed problem among the first row's ranks.
+  const double base_atoms_per_rank =
+      strong ? curve.problem_size /
+                   static_cast<double>(base_cores / curve.cores_per_rank)
+             : curve.problem_size;
+  const double scale = surface_scale(base_atoms_per_rank, profile.atoms_per_rank);
+
+  CurveProjection out;
+  out.curve = &curve;
+  out.points.resize(curve.rows.size());
+  std::vector<double> speed(curve.rows.size());
+  for (std::size_t i = 0; i < curve.rows.size(); ++i) {
+    const PaperRow& row = curve.rows[i];
+    ProjectionPoint& p = out.points[i];
+    p.cores = row.cores;
+    p.paper_value = row.value;
+    p.ranks = row.cores / curve.cores_per_rank;
+    // Strong scaling splits the subdomain f ways: per-rank compute shrinks
+    // by f (times any cache boost), ghost traffic with the surface f^(-2/3).
+    const double f = strong ? static_cast<double>(row.cores) /
+                                  static_cast<double>(base_cores)
+                            : 1.0;
+    speed[i] = f * row.cache_boost;
+    RoundTraffic traffic;
+    traffic.sends = profile.sends_per_rank_step;
+    traffic.bytes =
+        profile.bytes_per_rank_step * scale * std::pow(f, -2.0 / 3.0);
+    traffic.collectives = profile.collectives_per_rank_step;
+    RoundPrice price =
+        price_round(opt.platform, p.ranks, traffic, host, opt.contention);
+    p.comm_s = price.comm_s;
+    p.nodes = price.nodes;
+    p.bottleneck = std::move(price.bottleneck);
+  }
+  const std::size_t cal = curve.calibration_row;
+  out.compute_s =
+      opt.compute_from_trace
+          ? profile.compute_s_per_step * (strong ? scale : 1.0)
+          : calibrate_compute(out.points[0].comm_s, out.points[cal].comm_s,
+                              curve.rows[cal].value, speed[0], speed[cal]);
+  const double base_time = out.compute_s / speed[0] + out.points[0].comm_s;
+  for (std::size_t i = 0; i < out.points.size(); ++i) {
+    ProjectionPoint& p = out.points[i];
+    p.time_s = out.compute_s / speed[i] + p.comm_s;
+    p.value = base_time / p.time_s;
+  }
+  return out;
+}
+
 ProjectionResult project_scaling(const telemetry::CommTraceData& trace,
                                  const ProjectionOptions& opt) {
   ProjectionResult result;
@@ -202,82 +279,11 @@ ProjectionResult project_scaling(const telemetry::CommTraceData& trace,
     st.compute_s_per_step = std::max(
         0.0, st.wall_s / static_cast<double>(st.steps) - st.comm_s_per_step);
   }
-  result.host_model = LogGpModel::fit(st.send_samples, opt.breakpoints);
-
-  const int msgs_per_neighbor = static_cast<int>(std::clamp(
-      std::llround(st.sends_per_rank_step / 6.0), 1ll, 8ll));
-
-  // --- weak scaling: per-rank subdomain fixed at the paper's atom load ---
-  const double weak_scale = surface_scale(kWeakAtomsPerRank, st.atoms_per_rank);
-  std::vector<double> weak_m(std::size(kWeakRows));
-  result.weak.resize(std::size(kWeakRows));
-  for (std::size_t i = 0; i < std::size(kWeakRows); ++i) {
-    ProjectionPoint& p = result.weak[i];
-    p.cores = kWeakRows[i].cores;
-    p.paper_value = kWeakRows[i].value;
-    p.ranks = ranks_from_cores(p.cores);
-    RoundShape shape;
-    shape.bytes_per_neighbor = st.bytes_per_rank_step * weak_scale / 6.0;
-    shape.msgs_per_neighbor = msgs_per_neighbor;
-    shape.collectives_per_step = st.collectives_per_rank_step;
-    const RoundResult rr = model_round(opt.platform, p.ranks, shape,
-                                       result.host_model, opt.contention);
-    weak_m[i] = rr.comm_s;
-    p.comm_s = rr.comm_s;
-    p.bottleneck = rr.bottleneck;
-    p.nodes = TopologyPlatform(opt.platform, p.ranks).nnodes();
-  }
-  result.weak_compute_s =
-      opt.compute_from_trace
-          ? st.compute_s_per_step
-          : ScalingModel::calibrate_weak_compute(
-                weak_m[0], weak_m[kWeakPaperEnd], opt.weak_target_eff);
-  for (std::size_t i = 0; i < result.weak.size(); ++i) {
-    ProjectionPoint& p = result.weak[i];
-    p.time_s = result.weak_compute_s + weak_m[i];
-    p.value = (result.weak_compute_s + weak_m[0]) / p.time_s;
-  }
-
-  // --- strong scaling: global problem fixed, subdomains shrink ---
-  const std::uint64_t strong_base_ranks = ranks_from_cores(kStrongRows[0].cores);
-  const double strong_base_apr =
-      kStrongAtomsTotal / static_cast<double>(strong_base_ranks);
-  const double strong_scale = surface_scale(strong_base_apr, st.atoms_per_rank);
-  std::vector<double> strong_m(std::size(kStrongRows));
-  std::vector<double> strong_f(std::size(kStrongRows));
-  result.strong.resize(std::size(kStrongRows));
-  for (std::size_t i = 0; i < std::size(kStrongRows); ++i) {
-    ProjectionPoint& p = result.strong[i];
-    p.cores = kStrongRows[i].cores;
-    p.paper_value = kStrongRows[i].value;
-    p.ranks = ranks_from_cores(p.cores);
-    const double f = static_cast<double>(p.cores) /
-                     static_cast<double>(kStrongRows[0].cores);
-    strong_f[i] = f;
-    RoundShape shape;
-    shape.bytes_per_neighbor = st.bytes_per_rank_step * strong_scale *
-                               std::pow(f, -2.0 / 3.0) / 6.0;
-    shape.msgs_per_neighbor = msgs_per_neighbor;
-    shape.collectives_per_step = st.collectives_per_rank_step;
-    const RoundResult rr = model_round(opt.platform, p.ranks, shape,
-                                       result.host_model, opt.contention);
-    strong_m[i] = rr.comm_s;
-    p.comm_s = rr.comm_s;
-    p.bottleneck = rr.bottleneck;
-    p.nodes = TopologyPlatform(opt.platform, p.ranks).nnodes();
-  }
-  const std::size_t last = std::size(kStrongRows) - 1;
-  result.strong_compute_s =
-      opt.compute_from_trace
-          ? st.compute_s_per_step * strong_scale
-          : ScalingModel::calibrate_strong_compute(
-                strong_m[0], strong_m[last], strong_f[last],
-                opt.strong_target_speedup);
-  for (std::size_t i = 0; i < result.strong.size(); ++i) {
-    ProjectionPoint& p = result.strong[i];
-    p.time_s = result.strong_compute_s / strong_f[i] + strong_m[i];
-    p.value = (result.strong_compute_s + strong_m[0]) / p.time_s;
-  }
+  result.host_model = LogGpModel::fit(st.send_samples, kLogGpBreakpoints);
+  result.weak = project_curve(paper_curve(Curve::kMdWeak), st,
+                              result.host_model, opt);
+  result.strong = project_curve(paper_curve(Curve::kMdStrong), st,
+                                result.host_model, opt);
   return result;
 }
 
@@ -318,13 +324,16 @@ void write_projection_json(std::ostream& os, const ProjectionResult& r) {
      << ",\"node_link_bps\":" << pc.node_link.bandwidth_bps
      << ",\"uplink_bps\":" << pc.uplink.bandwidth_bps
      << ",\"contention\":" << (r.options.contention ? "true" : "false") << "},";
-  os << "\"weak\":{\"target_efficiency\":" << r.options.weak_target_eff
-     << ",\"compute_s\":" << r.weak_compute_s << ",\"points\":";
-  write_points(os, r.weak, "efficiency", "paper_efficiency");
+  const auto target = [](const CurveProjection& c) {
+    return c.curve->rows[c.curve->calibration_row].value;
+  };
+  os << "\"weak\":{\"target_efficiency\":" << target(r.weak)
+     << ",\"compute_s\":" << r.weak.compute_s << ",\"points\":";
+  write_points(os, r.weak.points, "efficiency", "paper_efficiency");
   os << "},";
-  os << "\"strong\":{\"target_speedup\":" << r.options.strong_target_speedup
-     << ",\"compute_s\":" << r.strong_compute_s << ",\"points\":";
-  write_points(os, r.strong, "speedup", "paper_speedup");
+  os << "\"strong\":{\"target_speedup\":" << target(r.strong)
+     << ",\"compute_s\":" << r.strong.compute_s << ",\"points\":";
+  write_points(os, r.strong.points, "speedup", "paper_speedup");
   os << "}}\n";
 }
 
@@ -367,34 +376,37 @@ void print_projection(std::ostream& os, const ProjectionResult& r) {
   }
   os << "\nWeak scaling (" << r.options.platform.name
      << (r.options.contention ? ", link contention on" : ", contention off")
-     << "), compute " << r.weak_compute_s << " s/step:\n";
-  std::snprintf(buf, sizeof(buf), "  %10s %9s %7s %12s %11s %7s  %s\n", "cores",
-                "ranks", "nodes", "comm [ms]", "efficiency", "paper",
-                "bottleneck");
-  os << buf;
-  for (const ProjectionPoint& p : r.weak) {
-    std::snprintf(buf, sizeof(buf),
-                  "  %10llu %9llu %7llu %12.3f %10.1f%% %6.1f%%  %s\n",
-                  static_cast<unsigned long long>(p.cores),
-                  static_cast<unsigned long long>(p.ranks),
-                  static_cast<unsigned long long>(p.nodes), p.comm_s * 1e3,
-                  100.0 * p.value, 100.0 * p.paper_value,
-                  p.bottleneck.c_str());
-    os << buf;
-  }
-  os << "\nStrong scaling, base compute " << r.strong_compute_s
+     << "), compute " << r.weak.compute_s << " s/step:\n";
+  print_curve(os, r.weak);
+  os << "\nStrong scaling, base compute " << r.strong.compute_s
      << " s/step:\n";
-  std::snprintf(buf, sizeof(buf), "  %10s %9s %7s %12s %9s %7s  %s\n", "cores",
-                "ranks", "nodes", "comm [ms]", "speedup", "paper",
-                "bottleneck");
+  print_curve(os, r.strong);
+}
+
+void print_curve(std::ostream& os, const CurveProjection& c) {
+  const bool weak = c.curve->scaling == Scaling::kWeak;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "  %10s %9s %7s %12s %*s %7s  %s\n", "cores",
+                "ranks", "nodes", "comm [ms]", weak ? 11 : 9,
+                weak ? "efficiency" : "speedup", "paper", "bottleneck");
   os << buf;
-  for (const ProjectionPoint& p : r.strong) {
-    std::snprintf(buf, sizeof(buf),
-                  "  %10llu %9llu %7llu %12.3f %8.2fx %6.2fx  %s\n",
-                  static_cast<unsigned long long>(p.cores),
-                  static_cast<unsigned long long>(p.ranks),
-                  static_cast<unsigned long long>(p.nodes), p.comm_s * 1e3,
-                  p.value, p.paper_value, p.bottleneck.c_str());
+  for (const ProjectionPoint& p : c.points) {
+    if (weak) {
+      std::snprintf(buf, sizeof(buf),
+                    "  %10llu %9llu %7llu %12.3f %10.1f%% %6.1f%%  %s\n",
+                    static_cast<unsigned long long>(p.cores),
+                    static_cast<unsigned long long>(p.ranks),
+                    static_cast<unsigned long long>(p.nodes), p.comm_s * 1e3,
+                    100.0 * p.value, 100.0 * p.paper_value,
+                    p.bottleneck.c_str());
+    } else {
+      std::snprintf(buf, sizeof(buf),
+                    "  %10llu %9llu %7llu %12.3f %8.2fx %6.2fx  %s\n",
+                    static_cast<unsigned long long>(p.cores),
+                    static_cast<unsigned long long>(p.ranks),
+                    static_cast<unsigned long long>(p.nodes), p.comm_s * 1e3,
+                    p.value, p.paper_value, p.bottleneck.c_str());
+    }
     os << buf;
   }
 }

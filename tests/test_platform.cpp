@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -224,35 +225,75 @@ TEST(TraceReplay, ProjectionHitsPaperCalibrationEndpoints) {
   const auto trace = synthetic_trace(8, 10, 32768);
   const ProjectionResult r = project_scaling(trace, ProjectionOptions{});
 
-  // Paper Fig. 12 rows plus the full-machine extrapolation point.
-  ASSERT_EQ(r.weak.size(), 7u);
-  EXPECT_EQ(r.weak[0].cores, 104000u);
-  EXPECT_EQ(r.weak[5].cores, 6656000u);
-  EXPECT_EQ(r.weak[6].cores, 10649600u);
-  EXPECT_NEAR(r.weak[5].paper_value, 0.85, 1e-12);
+  // Paper Fig. 11 (MD weak) rows plus the full-machine extrapolation point.
+  const auto& weak = r.weak.points;
+  ASSERT_EQ(weak.size(), 7u);
+  EXPECT_EQ(weak[0].cores, 104000u);
+  EXPECT_EQ(weak[5].cores, 6656000u);
+  EXPECT_EQ(weak[6].cores, 10649600u);
+  EXPECT_NEAR(weak[5].paper_value, 0.85, 1e-12);
   // The compute calibration solves this endpoint exactly (that is its job);
   // everything between is the model's prediction.
-  EXPECT_NEAR(r.weak[5].value, 0.85, 1e-3);
-  for (const auto& p : r.weak) {
+  EXPECT_NEAR(weak[5].value, 0.85, 1e-3);
+  for (const auto& p : weak) {
     EXPECT_GT(p.value, 0.0);
     EXPECT_LE(p.value, 1.0 + 1e-9);
     EXPECT_FALSE(p.bottleneck.empty());
     EXPECT_GT(p.time_s, 0.0);
   }
 
-  // Paper Fig. 13 rows; speedup is relative to the first row.
-  ASSERT_EQ(r.strong.size(), 7u);
-  EXPECT_EQ(r.strong[0].cores, 97500u);
-  EXPECT_NEAR(r.strong[0].value, 1.0, 1e-9);
-  EXPECT_NEAR(r.strong.back().paper_value, 26.4, 1e-12);
-  EXPECT_NEAR(r.strong.back().value, 26.4, 0.1);
-  for (std::size_t i = 1; i < r.strong.size(); ++i) {
-    EXPECT_GT(r.strong[i].value, r.strong[i - 1].value)
+  // Paper Fig. 10 (MD strong) rows; speedup is relative to the first row.
+  const auto& strong = r.strong.points;
+  ASSERT_EQ(strong.size(), 7u);
+  EXPECT_EQ(strong[0].cores, 97500u);
+  EXPECT_NEAR(strong[0].value, 1.0, 1e-9);
+  EXPECT_NEAR(strong.back().paper_value, 26.4, 1e-12);
+  EXPECT_NEAR(strong.back().value, 26.4, 0.1);
+  for (std::size_t i = 1; i < strong.size(); ++i) {
+    EXPECT_GT(strong[i].value, strong[i - 1].value)
         << "speedup must increase monotonically through the paper range";
   }
 
-  EXPECT_GT(r.weak_compute_s, 0.0);
-  EXPECT_GT(r.strong_compute_s, 0.0);
+  EXPECT_GT(r.weak.compute_s, 0.0);
+  EXPECT_GT(r.strong.compute_s, 0.0);
+}
+
+TEST(TraceReplay, ComputeFromTraceTakesTheTracesOwnCompute) {
+  const auto trace = synthetic_trace(8, 10, 32768);
+  ProjectionOptions opt;
+  opt.compute_from_trace = true;
+  const ProjectionResult r = project_scaling(trace, opt);
+  ASSERT_GT(r.stats.compute_s_per_step, 0.0);
+  EXPECT_DOUBLE_EQ(r.weak.compute_s, r.stats.compute_s_per_step);
+  // Strong scaling rescales it to the paper subdomain of the first row.
+  const PaperCurve& fig10 = paper_curve(Curve::kMdStrong);
+  const double base_atoms_per_rank =
+      fig10.problem_size /
+      static_cast<double>(fig10.rows[0].cores / fig10.cores_per_rank);
+  const double surface =
+      std::pow(base_atoms_per_rank / r.stats.atoms_per_rank, 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(r.strong.compute_s, r.stats.compute_s_per_step * surface);
+}
+
+TEST(TraceReplay, StepsOverrideRenormalizesPerStepShape) {
+  const auto trace = synthetic_trace(8, 10, 32768);
+  const TraceStats recorded = summarize_trace(trace);
+  ProjectionOptions opt;
+  opt.steps = 20;
+  const ProjectionResult r = project_scaling(trace, opt);
+  EXPECT_EQ(r.stats.steps, 20u);
+  EXPECT_NEAR(r.stats.sends_per_rank_step, 3.0, 1e-12);
+  EXPECT_NEAR(r.stats.bytes_per_rank_step, recorded.bytes_per_rank_step / 2.0,
+              1e-9);
+  EXPECT_NEAR(r.stats.collectives_per_rank_step,
+              recorded.collectives_per_rank_step / 2.0, 1e-12);
+  EXPECT_NEAR(r.stats.comm_s_per_step, recorded.comm_s_per_step / 2.0, 1e-15);
+  EXPECT_NEAR(r.stats.compute_s_per_step,
+              std::max(0.0, recorded.wall_s / 20.0 - recorded.comm_s_per_step / 2.0),
+              1e-15);
+  // Totals over the run are unchanged: only the per-step split moves.
+  EXPECT_NEAR(r.stats.sends_per_rank_step * 20.0,
+              recorded.sends_per_rank_step * 10.0, 1e-9);
 }
 
 TEST(TraceReplay, ContentionOnlyEverHurts) {
@@ -262,9 +303,10 @@ TEST(TraceReplay, ContentionOnlyEverHurts) {
   without.contention = false;
   const auto a = project_scaling(trace, with);
   const auto b = project_scaling(trace, without);
-  ASSERT_EQ(a.weak.size(), b.weak.size());
-  for (std::size_t i = 0; i < a.weak.size(); ++i) {
-    EXPECT_GE(a.weak[i].comm_s, b.weak[i].comm_s * (1.0 - 1e-9)) << i;
+  ASSERT_EQ(a.weak.points.size(), b.weak.points.size());
+  for (std::size_t i = 0; i < a.weak.points.size(); ++i) {
+    EXPECT_GE(a.weak.points[i].comm_s, b.weak.points[i].comm_s * (1.0 - 1e-9))
+        << i;
   }
 }
 

@@ -1,6 +1,6 @@
 // Replay a recorded comm trace through the topology-aware platform model and
-// project weak/strong scaling to the paper's TaihuLight core counts
-// (Fig. 12/13), including the 40,960-node full machine. See
+// project MD weak/strong scaling to the paper's TaihuLight core counts
+// (Figs. 11/10), including the 40,960-node full machine. See
 // docs/OBSERVABILITY.md "Record -> calibrate -> replay".
 //
 // Usage:
@@ -8,8 +8,6 @@
 //     --json=FILE           write the projection JSON (schema mmd.trace_replay)
 //     --no-contention       price every link as private (flat-model bound)
 //     --steps=N             override the trace's step count
-//     --weak-eff=E          weak calibration target (default 0.85)
-//     --strong-speedup=S    strong calibration target (default 26.4)
 //     --compute-from-trace  use the trace's own compute time, no calibration
 //
 // Exit codes: 0 ok, 1 runtime error (unreadable/corrupt trace, unwritable
@@ -29,8 +27,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: mmd_trace_replay TRACE.mmdtrace [--json=FILE] [--no-contention]\n"
-      "                        [--steps=N] [--weak-eff=E] [--strong-speedup=S]\n"
-      "                        [--compute-from-trace]\n");
+      "                        [--steps=N] [--compute-from-trace]\n");
   return 2;
 }
 
@@ -59,14 +56,6 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--steps", &value)) {
       opt.steps = std::strtoull(value.c_str(), nullptr, 10);
       if (opt.steps == 0) return usage();
-    } else if (parse_flag(arg, "--weak-eff", &value)) {
-      opt.weak_target_eff = std::strtod(value.c_str(), nullptr);
-      if (opt.weak_target_eff <= 0.0 || opt.weak_target_eff > 1.0) {
-        return usage();
-      }
-    } else if (parse_flag(arg, "--strong-speedup", &value)) {
-      opt.strong_target_speedup = std::strtod(value.c_str(), nullptr);
-      if (opt.strong_target_speedup <= 0.0) return usage();
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "mmd_trace_replay: unknown option %s\n", arg);
       return usage();
