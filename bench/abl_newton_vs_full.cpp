@@ -6,8 +6,8 @@
 // wall time and counted traffic.
 
 #include "bench_common.h"
+#include "baselines_lib/newton_force.h"
 #include "md/engine.h"
-#include "md/newton_force.h"
 #include "md/reference_force.h"
 #include "util/timer.h"
 

@@ -12,9 +12,9 @@
 #include <mutex>
 
 #include "bench_common.h"
+#include "baselines_lib/okmc.h"
 #include "kmc/clusters.h"
 #include "kmc/engine.h"
-#include "kmc/okmc.h"
 
 using namespace mmd;
 

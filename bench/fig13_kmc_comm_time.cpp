@@ -3,8 +3,8 @@
 // communication time on average.
 //
 // Live runs provide measured in-process communication seconds AND per-cycle
-// message/byte counts; the platform model prices both strategies' counts as
-// one communication round each at the paper's core counts.
+// message/byte/collective counts; the platform model prices both strategies'
+// counts as one communication round each at the paper's core counts.
 
 #include <algorithm>
 #include <cmath>
@@ -21,6 +21,7 @@ namespace {
 
 struct Cost {
   kmc::GhostTraffic traffic;
+  comm::RankTraffic comm_traffic;  ///< all ranks' comm.my_traffic() deltas
   double comm_seconds = 0.0;
   std::uint64_t cycles = 0;
 };
@@ -41,10 +42,14 @@ Cost run(int nranks, kmc::GhostStrategy strategy, int cells, double conc,
     kmc::KmcEngine engine(cfg, setup.geo, setup.dd, tables, comm.rank(), strategy);
     engine.initialize_random(comm, conc);
     engine.ghost_comm().reset_traffic();
+    const comm::RankTraffic before = comm.my_traffic();
     engine.run_cycles(comm, cycles);
+    const comm::RankTraffic during =
+        bench::traffic_since(before, comm.my_traffic());
     const double comm_s = comm.allreduce_max(engine.communication_seconds());
     std::lock_guard lk(m);
     cost.traffic += engine.ghost_comm().traffic();
+    cost.comm_traffic += during;
     if (comm.rank() == 0) {
       cost.comm_seconds = comm_s;
       cost.cycles = engine.stats().cycles;
@@ -89,13 +94,18 @@ int main() {
 
   std::printf("\n  Live measurement (%d ranks, %d^3 cells, C_v = %.1e):\n", nranks,
               cells, conc);
-  std::printf("  %-24s %14s %14s %16s\n", "strategy", "msgs/cycle",
-              "bytes/cycle", "comm time [ms] (median)");
+  // Collectives per rank-cycle: every strategy's dt-sync allreduce, plus the
+  // on-demand put-window fences.
+  auto collectives = [&](const Cost& c) {
+    return static_cast<double>(c.comm_traffic.collectives) / nranks / cycles;
+  };
+  std::printf("  %-24s %14s %14s %16s %16s\n", "strategy", "msgs/cycle",
+              "bytes/cycle", "coll/rank-cycle", "comm time [ms] (median)");
   auto row = [&](const char* name, const Cost& c, const std::vector<double>& ms) {
-    std::printf("  %-24s %14.1f %14.1f %16.3f\n", name,
+    std::printf("  %-24s %14.1f %14.1f %16.2f %16.3f\n", name,
                 static_cast<double>(c.traffic.messages_sent) / cycles,
                 static_cast<double>(c.traffic.bytes_sent) / cycles,
-                util::median(ms));
+                collectives(c), util::median(ms));
   };
   row("Traditional", trad, trad_ms);
   row("On-demand (one-sided)", ondemand, ondemand_ms);
@@ -123,12 +133,13 @@ int main() {
     t_trad.sends = static_cast<double>(trad.traffic.messages_sent) / nranks / cycles;
     t_trad.bytes =
         static_cast<double>(trad.traffic.bytes_sent) / nranks / cycles * surf;
+    t_trad.collectives = collectives(trad);
     perf::RoundTraffic t_od;
     t_od.sends = std::max(
         1.0, static_cast<double>(ondemand.traffic.messages_sent) / nranks / cycles);
     t_od.bytes =
         static_cast<double>(ondemand.traffic.bytes_sent) / nranks / cycles * vol;
-    t_od.collectives = 1.0;  // the one-sided fence
+    t_od.collectives = collectives(ondemand);
     const double t_trad_s = perf::price_round(platform, ranks, t_trad, host,
                                               /*contention=*/true).comm_s;
     const double t_od_s = perf::price_round(platform, ranks, t_od, host,

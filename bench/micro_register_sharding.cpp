@@ -94,7 +94,8 @@ int main() {
 
   {
     sw::DmaEngine dma;
-    pot::CoefficientTableAccess access(tables().phi_trad, dma);
+    const auto phi = tables().phi(0, 0).to_coefficients();
+    pot::CoefficientTableAccess access(phi, dma);
     util::Rng rng(5);
     double x = 0;
     std::uint64_t lookups = 0;

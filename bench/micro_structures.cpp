@@ -9,8 +9,8 @@
 
 #include "bench_common.h"
 #include "harness.h"
+#include "baselines_lib/verlet_list.h"
 #include "lattice/lattice_neighbor_list.h"
-#include "lattice/verlet_list.h"
 #include "util/rng.h"
 
 using namespace mmd;

@@ -43,7 +43,7 @@ int main() {
   }
 
   {
-    const auto& phi = tables().phi_trad;
+    const auto phi = tables().phi(0, 0).to_coefficients();
     util::Rng rng(1);
     double x = 0;
     h.time_per_op("traditional_value_direct", [&] {
@@ -89,7 +89,8 @@ int main() {
 
   {
     sw::DmaEngine dma;
-    pot::CoefficientTableAccess access(tables().phi_trad, dma);
+    const auto phi = tables().phi(0, 0).to_coefficients();
+    pot::CoefficientTableAccess access(phi, dma);
     util::Rng rng(4);
     double x = 0;
     h.time_per_op("traditional_row_dma_lookup", [&] {

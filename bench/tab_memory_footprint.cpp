@@ -8,8 +8,8 @@
 // core groups.
 
 #include "bench_common.h"
+#include "baselines_lib/verlet_list.h"
 #include "lattice/lattice_neighbor_list.h"
-#include "lattice/verlet_list.h"
 
 using namespace mmd;
 

@@ -43,12 +43,10 @@ struct SimulationConfig {
   int kmc_cycles = 50;             ///< KMC cycles after the MD stage
   double kmc_dt_scale = 1.0;
   int kmc_table_segments = 2000;   ///< KMC-side table resolution
-  /// Incremental event tables (scenario key `kmc.incremental`): dirty-region
-  /// rate rebuilds + O(log N) BKL selection. false selects the full-rescan
-  /// oracle; both produce bit-identical event sequences.
+  /// Test hook: false runs KMC on the full-rescan oracle instead of the
+  /// incremental event tables (KmcConfig::incremental); both produce
+  /// bit-identical event sequences. No scenario key sets it.
   bool kmc_incremental = true;
-  /// Per-event stderr logging (scenario key `kmc.debug_events`).
-  bool kmc_debug_events = false;
 
   // --- sampled long-time mode (scenario keys `sample.*`, docs/SAMPLING.md) ---
   /// Off runs every KMC cycle detailed (the default pipeline, byte-identical

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
@@ -235,12 +234,6 @@ void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
     const std::int64_t gid_vac = model_.site_rank_of(vac);
     const std::int64_t gid_atom = model_.site_rank_of(nb);
     const SiteState atom = model_.state(nb);
-    if (cfg_.debug_events) {
-      std::fprintf(stderr, "[ev] cyc %llu sec %d rank %d: vac %lld <-> %lld (%d)\n",
-                   static_cast<unsigned long long>(cycle), sector, model_.rank(),
-                   static_cast<long long>(gid_vac),
-                   static_cast<long long>(gid_atom), static_cast<int>(atom));
-    }
     if (cfg_.record_events) event_log_.emplace_back(gid_vac, gid_atom);
     model_.set_state_global(gid_vac, atom);
     model_.set_state_global(gid_atom, SiteState::Vacancy);
@@ -279,9 +272,6 @@ void KmcEngine::process_sector(comm::Comm& comm, int sector, double dt,
 
   const std::uint64_t executed = stats_.events - events_before;
   if (executed > 0) telemetry::count("kmc.events", executed);
-  if (executed > 0 && !cfg_.debug_events) {
-    telemetry::count("kmc.events.debug_suppressed", executed);
-  }
   telemetry::observe("kmc.sector_events", static_cast<double>(executed));
   // Event-table bookkeeping counters, accumulated per event and flushed once
   // per sector to keep registry lookups off the hot loop.

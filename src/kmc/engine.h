@@ -117,7 +117,7 @@ class KmcEngine {
 
   /// Rebuild the sector's table from scratch: clear every touched block,
   /// re-enumerate every in-sector vacancy, recompute every dE. The
-  /// per-executed-event cost of the kmc.incremental=off oracle.
+  /// per-executed-event cost of the KmcConfig::incremental = false oracle.
   void rebuild_sector_table(int sector, double* max_rate);
 
   /// Dirty-region maintenance after a swap of (gid_vac, gid_atom): refresh

@@ -38,13 +38,10 @@ struct KmcConfig {
   int table_segments = 5000;
   /// Maintain the sector's event table incrementally (dirty-region rate
   /// rebuilds after each executed event). false = full rescan after every
-  /// event, the O(N_owned)-per-event equivalence oracle (scenario key
-  /// `kmc.incremental`). Both paths share the same partial-sum tree for
+  /// event, the O(N_owned)-per-event equivalence oracle that tests and the
+  /// kmc_cycle bench select. Both paths share the same partial-sum tree for
   /// totals and selection, so the event sequence is bit-identical.
   bool incremental = true;
-  /// Per-event stderr logging (scenario key `kmc.debug_events`); when off,
-  /// suppressed events are counted under `kmc.events.debug_suppressed`.
-  bool debug_events = false;
   /// Test hook: record every executed event's (vacancy gid, atom gid) pair
   /// in KmcEngine::event_log() for sequence-equivalence assertions.
   bool record_events = false;

@@ -43,12 +43,13 @@ class GhostExchange {
   /// sender's.
   void exchange_rho(comm::Comm& comm);
 
-  /// Reverse accumulation (the LAMMPS `reverse_comm` pattern, used by the
-  /// Newton-third-law force backend): each rank's HALO values flow back to
-  /// the owners and are ADDED to the owned entries, phases in reverse
-  /// (z, y, x) order so corner contributions route through intermediate
-  /// slabs. Only the selected field moves; ghost copies are garbage
-  /// afterwards.
+  /// Reverse accumulation (the LAMMPS `reverse_comm` pattern): each rank's
+  /// HALO values flow back to the owners and are ADDED to the owned
+  /// entries, phases in reverse (z, y, x) order so corner contributions
+  /// route through intermediate slabs. Only the selected field moves; ghost
+  /// copies are garbage afterwards. Only the Newton-third-law baseline
+  /// (bench/baselines_lib/newton_force.h) calls it; it lives here because
+  /// it walks the exchange's private per-side plans.
   void reverse_accumulate_rho(comm::Comm& comm);
   void reverse_accumulate_force(comm::Comm& comm);
 

@@ -36,6 +36,10 @@ SlaveForceCompute::SlaveForceCompute(const pot::EamTableSet& tables,
         "SlaveForceCompute: the slave-core path handles the single-species "
         "(Fe) configuration; use the reference path for alloys");
   }
+  if (strategy == AccelStrategy::TraditionalTable) {
+    phi_trad_ = tables.phi(0, 0).to_coefficients();
+    f_trad_ = tables.f(0, 0).to_coefficients();
+  }
 }
 
 void SlaveForceCompute::reset_stats() {
@@ -107,10 +111,9 @@ void SlaveForceCompute::sweep(
                                          ? tables_->phi(0, 0)
                                          : tables_->f(0, 0);
   const pot::CompactTable& secondary = tables_->f(0, 0);
-  const pot::CoefficientTable& trad_primary = (S == Stage::PairForce || kFused)
-                                                  ? tables_->phi_trad
-                                                  : tables_->f_trad;
-  const pot::CoefficientTable& trad_secondary = tables_->f_trad;
+  const pot::CoefficientTable& trad_primary =
+      (S == Stage::PairForce || kFused) ? phi_trad_ : f_trad_;
+  const pot::CoefficientTable& trad_secondary = f_trad_;
   const double cutoff = tables_->cutoff;
   const double cut2 = cutoff * cutoff;
   const double r_min = tables_->r_min;

@@ -150,6 +150,10 @@ class SlaveForceCompute {
   const pot::EamTableSet* tables_;
   sw::SlaveCorePool* pool_;
   AccelStrategy strategy_;
+  /// Traditional-form species 0-0 phi and f tables; built only for
+  /// AccelStrategy::TraditionalTable, empty otherwise.
+  pot::CoefficientTable phi_trad_;
+  pot::CoefficientTable f_trad_;
   bool fused_ = true;
   bool simd_;                        ///< set in the constructor
   lat::SoaPlanes planes_;            ///< main-memory SoA staging, slot-indexed

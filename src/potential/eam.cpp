@@ -165,9 +165,6 @@ EamTableSet EamTableSet::build(const EamModel& model, int segments) {
     t.embed.push_back(CompactTable::build(
         [&](double rho) { return model.embed(i, rho); }, 0.0, rho_max, segments));
   }
-  t.phi_trad = t.pairs[0].phi.to_coefficients();
-  t.f_trad = t.pairs[0].f.to_coefficients();
-  t.embed_trad = t.embed[0].to_coefficients();
   return t;
 }
 

@@ -89,11 +89,9 @@ class EamModel {
 /// tables the paper names (electron cloud density, pair potential, embedding
 /// potential) for pure Fe, and 8 compact tables for Fe-Cu, whose combined
 /// size exceeds the 64 KB local store (paper: "we only load the compacted
-/// table for the element with the highest content").
-///
-/// For the primary (species 0-0) interaction the traditional 5000x7
-/// coefficient form is also kept, so the slave-core kernels can run the
-/// paper's un-optimized baseline (Fig. 9's "TraditionalTable" bars).
+/// table for the element with the highest content"). The traditional 5000x7
+/// coefficient form of a table is CompactTable::to_coefficients(); only the
+/// slave-core kernels' TraditionalTable baseline builds it.
 struct EamTableSet {
   struct PairTables {
     CompactTable phi;
@@ -101,9 +99,6 @@ struct EamTableSet {
   };
   std::vector<PairTables> pairs;   ///< indexed by symmetric pair index
   std::vector<CompactTable> embed; ///< per species
-  CoefficientTable phi_trad;       ///< species 0-0, traditional form
-  CoefficientTable f_trad;
-  CoefficientTable embed_trad;
   int num_species = 0;
   double cutoff = 0.0;
   double r_min = 0.0;

@@ -59,6 +59,24 @@ TEST(Scenario, SampleKeyTypoIsAttributedToFileAndLine) {
   }
 }
 
+TEST(Scenario, RetiredKmcKeysAreRejectedAsUnknown) {
+  // The rescan oracle is a SimulationConfig test hook and per-event logging
+  // is gone: neither is a scenario key, so a config naming them fails loudly.
+  auto kv = util::KeyValueConfig::parse(
+      "box = 6\nkmc.incremental = off\nkmc.debug_events = on\n", "scn.mmd");
+  scenario_from_kv(kv);
+  try {
+    kv.reject_unknown_keys();
+    FAIL() << "expected reject_unknown_keys to throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("scn.mmd:2: unknown key 'kmc.incremental'"),
+              std::string::npos) << msg;
+    EXPECT_NE(msg.find("scn.mmd:3: unknown key 'kmc.debug_events'"),
+              std::string::npos) << msg;
+  }
+}
+
 SimulationConfig tiny_config() {
   SimulationConfig cfg;
   cfg.md.nx = cfg.md.ny = cfg.md.nz = 8;

@@ -4,8 +4,8 @@
 #include <set>
 #include <vector>
 
+#include "baselines_lib/verlet_list.h"
 #include "lattice/lattice_neighbor_list.h"
-#include "lattice/verlet_list.h"
 
 namespace mmd::lat {
 namespace {

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <mutex>
 
+#include "baselines_lib/newton_force.h"
 #include "md/engine.h"
-#include "md/newton_force.h"
 #include "md/reference_force.h"
 
 namespace mmd::md {

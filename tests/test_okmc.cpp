@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "kmc/okmc.h"
+#include "baselines_lib/okmc.h"
 
 namespace mmd::kmc {
 namespace {
